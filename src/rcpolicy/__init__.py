@@ -58,7 +58,6 @@ from .rule import (
     blip_atoms,
     build_policy,
     solve_threshold,
-    survival,
 )
 from .simplex import simplex_lstsq
 from .tmle import (
@@ -130,7 +129,6 @@ __all__ = [
     "solve_threshold",
     "stratified_folds",
     "subgroup_scan",
-    "survival",
     "tmle_value",
     "unscale",
     "write_csv",

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -46,24 +47,6 @@ _DGP_FACTORIES = {
     "continuous_blip": continuous_blip,
     "null_effect": null_effect,
     "one_interaction": one_interaction,
-}
-
-# argparse dest -> PipelineConfig field, for flags that overlay the config
-_PIPELINE_FLAGS = {
-    "folds": "folds",
-    "seed": "seed",
-    "g_known": "g_known",
-    "g_estimate": "g_estimate",
-    "g_min": "g_min",
-    "outcome_library": "outcome_library",
-    "blip_library": "blip_library",
-    "shared_blip": "shared_blip",
-    "ci_level": "ci_level",
-    "threads": "threads",
-    "bootstrap": "bootstrap_replicates",
-    "mode": "bootstrap_mode",
-    "effect_units": "effect_units",
-    "epsilon_den": "epsilon_den",
 }
 
 # JSON config keys that are not PipelineConfig fields, per subcommand
@@ -138,18 +121,12 @@ def _csv_cell(v) -> str:
 
 def _emit_csv(header: list[str], rows, out: str | None, meta: dict | None = None) -> None:
     """Write CSV to a path (with a .meta.json sidecar) or to stdout."""
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
-        return
-    with open(out, "w", newline="") as fh:
+    with nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_csv_cell(v) for v in row])
-    if meta is not None:
+    if out is not None and meta is not None:
         _emit_json(meta, out + ".meta.json")
 
 
@@ -231,8 +208,8 @@ def _resolve_config(args) -> tuple[PipelineConfig, dict]:
                 extras[key] = val
             else:
                 raise CliError(f"--config {config_path}: unknown key {key!r}")
-    for dest, field in _PIPELINE_FLAGS.items():
-        val = getattr(args, dest, None)
+    for field in PipelineConfig.field_names():
+        val = getattr(args, field, None)
         if val is not None:
             base[field] = val
     for key in ("outcome_library", "blip_library"):
@@ -302,13 +279,14 @@ def _load_dataset(args, extras: dict, need_cost: bool = False) -> Dataset:
     covs = _extra(args, extras, "covariate_cols", columns.get("covariates"))
     if covs is not None:
         covs = _split_names(covs)
-    if cost is None and "c" in _read_header(path) and (covs is None or "c" not in covs):
+    header = _read_header(path) if cost is None or covs is None else []
+    if cost is None and "c" in header and (covs is None or "c" not in covs):
         cost = "c"  # package CSV convention, like the a/y defaults
     if need_cost and cost is None:
         raise CliError("this command needs a cost column; pass --cost-col")
     if covs is None:
         special = {treatment, outcome} | ({cost} if cost else set())
-        covs = tuple(c for c in _read_header(path) if c not in special)
+        covs = tuple(c for c in header if c not in special)
         if not covs:
             raise CliError(f"--data {path}: no covariate columns left after {sorted(special)}")
     kind = _extra(args, extras, "outcome_kind")
@@ -337,6 +315,22 @@ def _dataset_context(args, extras: dict, ds: Dataset) -> dict:
         "covariates": list(ds.covariate_names),
         "outcome_kind": ds.outcome_kind,
     }
+
+
+def _grid_setup(args, need_cost: bool = False):
+    """Config, required --kappa-grid, dataset and audit context of a grid command.
+
+    Returns (cfg, extras, kappas, ds, context); context already holds the grid.
+    """
+    cfg, extras = _resolve_config(args)
+    grid_arg = _extra(args, extras, "kappa_grid")
+    if grid_arg is None:
+        raise CliError("--kappa-grid is required")
+    kappas = parse_kappa_grid(str(grid_arg))
+    ds = _load_dataset(args, extras, need_cost)
+    context = _dataset_context(args, extras, ds)
+    context["kappa_grid"] = kappas
+    return cfg, extras, kappas, ds, context
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +476,7 @@ def _static_block(est) -> dict:
 
 
 def _cmd_evaluate(args) -> None:
-    cfg, extras = _resolve_config(args)
-    grid_arg = _extra(args, extras, "kappa_grid")
-    if grid_arg is None:
-        raise CliError("--kappa-grid is required")
-    kappas = parse_kappa_grid(str(grid_arg))
-    ds = _load_dataset(args, extras)
+    cfg, extras, kappas, ds, context = _grid_setup(args)
     result = evaluate_grid(ds, kappas, cfg)
     z = cfg.z_value
     entries = []
@@ -507,8 +496,6 @@ def _cmd_evaluate(args) -> None:
             "vs_treat_none": _contrast_block(est, result.treat_none, z),
             "warnings": list(est.warnings),
         })
-    context = _dataset_context(args, extras, ds)
-    context["kappa_grid"] = kappas
     payload = {
         "grid": entries,
         "treat_all": _static_block(result.treat_all),
@@ -521,20 +508,13 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_msm(args) -> None:
-    cfg, extras = _resolve_config(args)
-    grid_arg = _extra(args, extras, "kappa_grid")
-    if grid_arg is None:
-        raise CliError("--kappa-grid is required")
-    kappas = parse_kappa_grid(str(grid_arg))
-    ds = _load_dataset(args, extras)
+    cfg, extras, kappas, ds, context = _grid_setup(args)
     fit = msm_with_bootstrap(ds, kappas, cfg)
     ci = fit.boot_ci or {}
     plot_rows = [
         {"kappa": k, "value": v, "fitted": f, "chord": ch}
         for k, v, f, ch in fit.plot_rows()
     ]
-    context = _dataset_context(args, extras, ds)
-    context["kappa_grid"] = kappas
     payload = {
         "beta0": fit.beta0,
         "beta1": fit.beta1,
@@ -558,15 +538,10 @@ def _cmd_msm(args) -> None:
 
 
 def _cmd_icer(args) -> None:
-    cfg, extras = _resolve_config(args)
-    grid_arg = _extra(args, extras, "kappa_grid")
-    if grid_arg is None:
-        raise CliError("--kappa-grid is required")
-    kappas = parse_kappa_grid(str(grid_arg))
+    cfg, extras, kappas, ds, context = _grid_setup(args, need_cost=True)
     comparator = str(_extra(args, extras, "comparator", "treat-none")).replace("-", "_")
     if comparator not in ("treat_none", "treat_all"):
         raise CliError("--comparator must be treat-none or treat-all")
-    ds = _load_dataset(args, extras, need_cost=True)
     curve = icer_curve(ds, kappas, comparator=comparator, config=cfg)
     den_key = "denominator_pp" if curve.estimates[0].effect_units == "pp" else "denominator"
     rows = []
@@ -585,8 +560,7 @@ def _cmd_icer(args) -> None:
         {den_key: float(d), "numerator": float(nu), "kappa": float(k)}
         for d, nu, k in curve.plane_points()
     ]
-    context = _dataset_context(args, extras, ds)
-    context.update({"kappa_grid": kappas, "comparator": comparator})
+    context["comparator"] = comparator
     payload = {
         "comparator": comparator,
         "rows": rows,
@@ -685,8 +659,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, bootstrap: bool = False, ice
     grp.add_argument("--ci-level", type=float, dest="ci_level", help="confidence level (default 0.95)")
     grp.add_argument("--threads", type=int, help="worker cap for parallel sections")
     if bootstrap:
-        grp.add_argument("--bootstrap", type=int, help="bootstrap replicates (default 1000)")
-        grp.add_argument("--mode", choices=["refit", "fixed-rule"], help="bootstrap mode")
+        grp.add_argument("--bootstrap", type=int, dest="bootstrap_replicates", metavar="BOOTSTRAP",
+                         help="bootstrap replicates (default 1000)")
+        grp.add_argument("--mode", choices=["refit", "fixed-rule"], dest="bootstrap_mode",
+                         help="bootstrap mode")
     if icer:
         grp.add_argument("--effect-units", choices=["pp", "probability"], dest="effect_units",
                          help="denominator units for binary outcomes (default pp)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 from scipy.stats import norm
@@ -38,6 +39,10 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("folds", "seed", "bootstrap_replicates", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if not self.outcome_library or not self.blip_library:

@@ -19,22 +19,11 @@ import numpy as np
 __all__ = [
     "ColumnSchema",
     "Dataset",
-    "Observation",
     "ingest_csv",
     "scale_outcome",
     "unscale",
     "write_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One row: covariate vector, treatment arm, outcome, optional cost."""
-
-    w: np.ndarray
-    a: int
-    y: float
-    c: float | None = None
 
 
 @dataclass(frozen=True)
@@ -116,13 +105,6 @@ class Dataset:
     @property
     def has_both_arms(self) -> bool:
         return 0 < self.n_treated < self.n
-
-    def observation(self, i: int) -> Observation:
-        ci = None if self.c is None else float(self.c[i])
-        return Observation(w=self.w[i].copy(), a=int(self.a[i]), y=float(self.y[i]), c=ci)
-
-    def observations(self) -> list[Observation]:
-        return [self.observation(i) for i in range(self.n)]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         c = None if self.c is None else self.c[idx]

@@ -34,14 +34,8 @@ class GlmFit:
     fallback: str | None = None
     n_iter: int = 0
 
-    def linpred(self, X: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         eta = X @ self.coef
-        if offset is not None:
-            eta = eta + offset
-        return eta
-
-    def predict(self, X: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-        eta = self.linpred(X, offset)
         if self.family == "binomial":
             return expit(eta)
         return eta
@@ -66,7 +60,8 @@ def design_is_singular(X: np.ndarray) -> bool:
     return np.linalg.matrix_rank(X) < X.shape[1]
 
 
-def _weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Least-squares coefficients, weighted by w when given."""
     if w is None:
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         return coef
@@ -75,70 +70,55 @@ def _weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.nd
     return coef
 
 
-def fit_linear(
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> GlmFit:
-    """Ordinary (or weighted) least squares with a singularity fallback."""
+def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
+    """Ordinary least squares with a singularity fallback."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if design_is_singular(X):
         coef = np.zeros(X.shape[1])
-        coef[_intercept_col(X)] = _weighted_mean(y, weights)
+        coef[_intercept_col(X)] = float(np.mean(y))
         return GlmFit(coef=coef, family="gaussian", fallback="singular_design")
-    coef = _weighted_lstsq(X, y, weights)
-    return GlmFit(coef=coef, family="gaussian")
+    return GlmFit(coef=weighted_lstsq(X, y), family="gaussian")
 
 
-def fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
-    max_iter: int = _IRLS_MAX_ITER,
-    tol: float = _IRLS_TOL,
-) -> GlmFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
     """Logistic regression by IRLS.
 
     y may be any values in [0, 1] (quasi-binomial working likelihood).
-    Separation and non-convergence fall back to the offset-adjusted
-    intercept-only solution rather than returning runaway coefficients.
+    Separation and non-convergence fall back to the intercept-only
+    solution rather than returning runaway coefficients.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if design_is_singular(X):
-        return _logistic_intercept_fallback(X, y, weights, offset, "singular_design")
+        return _logistic_intercept_fallback(X, y, "singular_design")
 
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     beta = np.zeros(p)
-    for it in range(1, max_iter + 1):
-        eta = X @ beta + off
+    for it in range(1, _IRLS_MAX_ITER + 1):
+        eta = X @ beta
         mu = expit(eta)
         v = mu * (1.0 - mu)
-        score = X.T @ (w * (y - mu))
-        if np.max(np.abs(score)) / n <= tol:
-            if np.max(np.abs(eta - off)) > _SEPARATION_ETA:
-                return _logistic_intercept_fallback(X, y, weights, offset, "separation")
+        score = X.T @ (y - mu)
+        if np.max(np.abs(score)) / n <= _IRLS_TOL:
+            if np.max(np.abs(eta)) > _SEPARATION_ETA:
+                return _logistic_intercept_fallback(X, y, "separation")
             return GlmFit(coef=beta, family="binomial", n_iter=it)
-        irls_w = w * np.maximum(v, 1e-12)
-        z = (eta - off) + (y - mu) / np.maximum(v, 1e-12)
-        beta_new = _weighted_lstsq(X, z, irls_w)
+        irls_w = np.maximum(v, 1e-12)
+        z = eta + (y - mu) / irls_w
+        beta_new = weighted_lstsq(X, z, irls_w)
         if not np.all(np.isfinite(beta_new)):
-            return _logistic_intercept_fallback(X, y, weights, offset, "no_convergence")
+            return _logistic_intercept_fallback(X, y, "no_convergence")
         step = beta_new - beta
-        if np.max(np.abs(X @ beta_new + off)) > 2 * _SEPARATION_ETA:
+        if np.max(np.abs(X @ beta_new)) > 2 * _SEPARATION_ETA:
             # runaway linear predictor: separation in progress
-            return _logistic_intercept_fallback(X, y, weights, offset, "separation")
+            return _logistic_intercept_fallback(X, y, "separation")
         beta = beta_new
-        if np.max(np.abs(step)) < tol:
-            eta = X @ beta + off
-            if np.max(np.abs(eta - off)) > _SEPARATION_ETA:
-                return _logistic_intercept_fallback(X, y, weights, offset, "separation")
+        if np.max(np.abs(step)) < _IRLS_TOL:
+            if np.max(np.abs(X @ beta)) > _SEPARATION_ETA:
+                return _logistic_intercept_fallback(X, y, "separation")
             return GlmFit(coef=beta, family="binomial", n_iter=it)
-    return _logistic_intercept_fallback(X, y, weights, offset, "no_convergence")
+    return _logistic_intercept_fallback(X, y, "no_convergence")
 
 
 def _intercept_col(X: np.ndarray) -> int:
@@ -149,33 +129,16 @@ def _intercept_col(X: np.ndarray) -> int:
     return 0
 
 
-def _weighted_mean(y: np.ndarray, w: np.ndarray | None) -> float:
-    if w is None:
-        return float(np.mean(y))
-    tw = float(np.sum(w))
-    if tw <= 0:
-        return float(np.mean(y))
-    return float(np.sum(w * y) / tw)
-
-
-def _logistic_intercept_fallback(
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None,
-    offset: np.ndarray | None,
-    reason: str,
-) -> GlmFit:
+def _logistic_intercept_fallback(X: np.ndarray, y: np.ndarray, reason: str) -> GlmFit:
     """Intercept-only logistic fit (1-D Newton), used when the full fit fails."""
     n = X.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     eps = 0.0
     for _ in range(_IRLS_MAX_ITER):
-        mu = expit(off + eps)
-        grad = float(np.sum(w * (y - mu)))
+        mu = expit(np.full(n, eps))
+        grad = float(np.sum(y - mu))
         if abs(grad) / n <= _IRLS_TOL:
             break
-        hess = -float(np.sum(w * mu * (1.0 - mu)))
+        hess = -float(np.sum(mu * (1.0 - mu)))
         if hess >= -1e-300:
             break
         eps -= grad / hess

@@ -150,9 +150,9 @@ def _prepare(ds: Dataset, comparator: str, cfg: PipelineConfig) -> _IcerContext:
     )
 
 
-def _estimate_one(ctx: _IcerContext, target) -> IcerEstimate:
+def _estimate_one(ctx: _IcerContext, kappa: float) -> IcerEstimate:
     cfg = ctx.config
-    asg = assignment_for(ctx.nuis_y, target)
+    asg = assignment_for(ctx.nuis_y, kappa)
     eff_pol = value_from_assignment(ctx.nuis_y, asg)
     if ctx.nuis_c is not None:
         cost_pol = value_from_assignment(ctx.nuis_c, asg)
@@ -183,7 +183,6 @@ def _estimate_one(ctx: _IcerContext, target) -> IcerEstimate:
         "cost_comparator": cost_comp,
     }
     n = ctx.nuis_y.n
-    kappa = asg.kappa if asg.label.startswith(("kappa=", "rule(")) else None
     if unstable:
         return IcerEstimate(
             kappa=kappa,

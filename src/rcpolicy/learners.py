@@ -216,6 +216,15 @@ def _stack(
     return fitted, weights, cv_risks, ensemble_risk, tuple(dict.fromkeys(warnings))
 
 
+def _stack_predict(candidates, weights: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Simplex-weighted sum of the candidates' predictions, in candidate order."""
+    out = np.zeros(T.shape[0])
+    for wt, cand in zip(weights, candidates):
+        if wt > 0:
+            out += wt * cand.predict_terms(T)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # outcome regression
 
@@ -236,11 +245,7 @@ class OutcomeModel:
         return tuple(c.name for c in self.candidates)
 
     def predict(self, a, w: np.ndarray) -> np.ndarray:
-        T = _outcome_terms(a, w)
-        out = np.zeros(T.shape[0])
-        for wt, cand in zip(self.weights, self.candidates):
-            if wt > 0:
-                out += wt * cand.predict_terms(T)
+        out = _stack_predict(self.candidates, self.weights, _outcome_terms(a, w))
         return np.clip(out, PRED_CLIP, 1.0 - PRED_CLIP)
 
     def predict_both(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,12 +385,7 @@ class BlipModel:
         return tuple(c.name for c in self.candidates)
 
     def predict(self, w: np.ndarray) -> np.ndarray:
-        T = _blip_terms(w)
-        out = np.zeros(T.shape[0])
-        for wt, cand in zip(self.weights, self.candidates):
-            if wt > 0:
-                out += wt * cand.predict_terms(T)
-        return out
+        return _stack_predict(self.candidates, self.weights, _blip_terms(w))
 
     def to_dict(self) -> dict:
         return {
@@ -526,6 +526,5 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
 
 
 def _rss(X: np.ndarray, y: np.ndarray) -> float:
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
+    resid = y - X @ glm.weighted_lstsq(X, y)
     return float(resid @ resid)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .data import Dataset, scale_outcome
+from .glm import weighted_lstsq
 from .learners import fit_blip, fit_outcome, fit_propensity
 from .rule import StaticPolicy, build_policy
 from .tmle import GridResult, derive_seed, evaluate_grid, tmle_value
@@ -103,15 +104,11 @@ def fit_msm(pairs, chord: tuple[float, float] | None = None, weights=None) -> Ms
         raise ValueError("non-finite (kappa, value) input")
     if np.all(kappas == kappas[0]):
         raise ValueError("all kappa values identical; the slope is undefined")
-    X = np.column_stack([np.ones(len(kappas)), kappas])
     if weights is not None:
-        wts = np.asarray(weights, dtype=float)
-        if wts.shape != kappas.shape or np.any(wts < 0) or not np.any(wts > 0):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != kappas.shape or np.any(weights < 0) or not np.any(weights > 0):
             raise ValueError("weights must be nonnegative, one per point, not all zero")
-        sw = np.sqrt(wts)
-        coef, *_ = np.linalg.lstsq(X * sw[:, None], values * sw, rcond=None)
-    else:
-        coef, *_ = np.linalg.lstsq(X, values, rcond=None)
+    coef = weighted_lstsq(np.column_stack([np.ones(len(kappas)), kappas]), values, weights)
     beta0, beta1 = float(coef[0]), float(coef[1])
     chord_coefs = None
     contrast = None

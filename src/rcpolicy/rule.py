@@ -11,7 +11,9 @@ tau and randomizes on the tie set so the budget binds exactly:
 Treat with probability 1 if blip > tau, with probability
 (kappa - S(tau)) / mass(blip = tau) if blip = tau and tau > 0, and
 never otherwise; at tau = 0 the rule is the unconstrained one,
-treat exactly when blip > 0.
+treat exactly when blip > 0. Blips within TIE_TOL of each other form
+one atom, so when the budget binds at an atom at or just below zero
+(eta in [-TIE_TOL, 0]), its members are untreated even if positive.
 """
 from __future__ import annotations
 
@@ -24,23 +26,14 @@ __all__ = [
     "StaticPolicy",
     "RulePolicy",
     "ThresholdSolution",
+    "assign_from_blips",
     "blip_atoms",
     "build_policy",
     "solve_threshold",
-    "survival",
+    "treated_fractions",
 ]
 
 TIE_TOL = 1e-9  # blip values within this distance form one atom
-
-
-def survival(blips: Sequence[float], tau: float) -> float:
-    """Fraction of blips strictly greater than tau."""
-    b = np.asarray(blips, dtype=float)
-    if b.size == 0:
-        raise ValueError("empty blip list")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("non-finite blip values")
-    return float(np.mean(b > tau))
 
 
 @dataclass(frozen=True)
@@ -152,15 +145,24 @@ def blip_atoms(blips: Sequence[float]) -> list[tuple[float, int]]:
     return [(float(v), int(c)) for v, c in zip(values, counts)]
 
 
-def _assign_from_blips(b: np.ndarray, sol: ThresholdSolution) -> np.ndarray:
+def assign_from_blips(b: np.ndarray, sol: ThresholdSolution) -> np.ndarray:
+    """Treatment probability of each blip under a solved threshold."""
     out = np.zeros(len(b))
     if sol.tau > 0.0:
         out[b > sol.tau + TIE_TOL] = 1.0
         if sol.tie_prob > 0.0:
             out[np.abs(b - sol.tau) <= TIE_TOL] = sol.tie_prob
     else:
-        out[b > 0.0] = 1.0  # unconstrained rule: treat positive blips
+        # unconstrained rule: treat positive blips, minus a binding atom
+        # that reaches above zero, which S(tau) does not count
+        out[b > max(sol.eta + TIE_TOL, 0.0)] = 1.0
     return out
+
+
+def treated_fractions(gtilde1: np.ndarray) -> tuple[float, float]:
+    """Mean treatment probability, and the share of rows strictly inside (0, 1)."""
+    interior = (gtilde1 > 1e-12) & (gtilde1 < 1.0 - 1e-12)
+    return float(np.mean(gtilde1)), float(np.mean(interior))
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ class RulePolicy:
         return self.assign_from_blips(b)
 
     def assign_from_blips(self, blips: np.ndarray) -> np.ndarray:
-        return _assign_from_blips(np.asarray(blips, dtype=float), self.threshold)
+        return assign_from_blips(np.asarray(blips, dtype=float), self.threshold)
 
 
 @dataclass(frozen=True)
@@ -244,11 +246,10 @@ def build_policy(model, ds, kappa: float) -> RulePolicy:
         raise ValueError("empty dataset")
     blips = np.asarray(model.predict(ds.w), dtype=float)
     sol = solve_threshold(blips, kappa)
-    assign = _assign_from_blips(blips, sol)
-    interior = (assign > 1e-12) & (assign < 1 - 1e-12)
+    pct_treated, pct_stochastic = treated_fractions(assign_from_blips(blips, sol))
     return RulePolicy(
         threshold=sol,
         blip_predict=model.predict,
-        pct_treated=float(np.mean(assign)),
-        pct_stochastic=float(np.mean(interior)),
+        pct_treated=pct_treated,
+        pct_stochastic=pct_stochastic,
     )

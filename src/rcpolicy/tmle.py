@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import Z_975, PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import expit, logit
 from .learners import (
@@ -39,7 +39,7 @@ from .learners import (
     fit_propensity,
     stratified_folds,
 )
-from .rule import solve_threshold
+from .rule import StaticPolicy, assign_from_blips, solve_threshold, treated_fractions
 
 __all__ = [
     "Assignment",
@@ -156,8 +156,6 @@ def contrast_estimates(a: ValueEstimate, b: ValueEstimate, z: float | None = Non
     Both estimates must come from the same sample (row-aligned influence
     values). Contrasting an estimate with itself gives 0 with CI (0, 0).
     """
-    from .config import Z_975
-
     if a.n != b.n:
         raise ValueError("contrast needs estimates from the same sample")
     z = Z_975 if z is None else z
@@ -188,8 +186,6 @@ def contrast(
     values ride on the same fold fits so the influence functions pair
     row by row.
     """
-    from .rule import StaticPolicy
-
     cfg = config or PipelineConfig()
     if nuisance is None:
         nuisance = fit_folds(ds, cfg)
@@ -282,7 +278,7 @@ def fit_folds(
         val = fold_id == v
         train = ~val
         train_ds = ds.subset(train)
-        if not train_ds.has_both_arms and cfg.estimate_propensity:
+        if not train_ds.has_both_arms:
             raise ValueError(
                 f"fold {v}: training split lost a treatment arm; use fewer folds"
             )
@@ -339,8 +335,17 @@ class Assignment:
     pct_stochastic: float
 
 
-def _static_label(policy) -> str:
-    return "treat_all" if policy.kappa == 1.0 else "treat_none"
+def _policy_assignment(policy, w: np.ndarray, folds: int) -> Assignment:
+    """A static arm or an already-fit rule applied as-is to every row of w."""
+    kappa = float(policy.kappa)
+    if isinstance(policy, StaticPolicy):
+        label = "treat_all" if policy.arm == 1 else "treat_none"
+    else:
+        label = f"rule(kappa={kappa:g})"
+    gtilde1 = np.asarray(policy.assign(w), dtype=float)
+    tau = float(policy.tau)
+    return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau), (tau,) * folds,
+                      *treated_fractions(gtilde1))
 
 
 def assignment_for(nuis: CvNuisance, target) -> Assignment:
@@ -351,43 +356,20 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
     policy object (static arm or an already-fit rule) is applied as-is
     to every row; its threshold enters the penalty unchanged.
     """
-    n = nuis.n
-    if isinstance(target, (int, float, np.floating)):
-        kappa = float(target)
-        gtilde1 = np.empty(n)
-        tau_row = np.empty(n)
-        fold_taus = []
-        for v, tb in zip(np.unique(nuis.fold_id), nuis.train_blips):
-            val = nuis.fold_id == v
-            sol = solve_threshold(tb, kappa)
-            proto = _proto_policy(sol)
-            gtilde1[val] = proto(nuis.val_blip[val])
-            tau_row[val] = sol.tau
-            fold_taus.append(sol.tau)
-        label = f"kappa={kappa:g}"
-    else:
-        policy = target
-        kappa = float(policy.kappa)
-        gtilde1 = np.asarray(policy.assign(nuis.ds.w), dtype=float)
-        tau_row = np.full(n, float(policy.tau))
-        fold_taus = [float(policy.tau)] * nuis.folds
-        label = _static_label(policy) if policy.__class__.__name__ == "StaticPolicy" else f"rule(kappa={kappa:g})"
-    interior = (gtilde1 > 1e-12) & (gtilde1 < 1.0 - 1e-12)
-    return Assignment(
-        label=label,
-        kappa=kappa,
-        gtilde1=gtilde1,
-        tau_row=tau_row,
-        fold_taus=tuple(fold_taus),
-        pct_treated=float(np.mean(gtilde1)),
-        pct_stochastic=float(np.mean(interior)),
-    )
-
-
-def _proto_policy(sol):
-    from .rule import _assign_from_blips
-
-    return lambda blips: _assign_from_blips(np.asarray(blips, dtype=float), sol)
+    if not isinstance(target, (int, float, np.floating)):
+        return _policy_assignment(target, nuis.ds.w, nuis.folds)
+    kappa = float(target)
+    gtilde1 = np.empty(nuis.n)
+    tau_row = np.empty(nuis.n)
+    fold_taus = []
+    for v, tb in zip(np.unique(nuis.fold_id), nuis.train_blips):
+        val = nuis.fold_id == v
+        sol = solve_threshold(tb, kappa)
+        gtilde1[val] = assign_from_blips(nuis.val_blip[val], sol)
+        tau_row[val] = sol.tau
+        fold_taus.append(sol.tau)
+    return Assignment(f"kappa={kappa:g}", kappa, gtilde1, tau_row, tuple(fold_taus),
+                      *treated_fractions(gtilde1))
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +505,7 @@ def tmle_value(
         g = fit_propensity(ds, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
         warnings = (*warnings, *g.warnings)
 
-    gtilde1 = np.asarray(policy.assign(ds.w), dtype=float)
-    interior = (gtilde1 > 1e-12) & (gtilde1 < 1.0 - 1e-12)
-    kappa = float(policy.kappa)
-    label = _static_label(policy) if policy.__class__.__name__ == "StaticPolicy" else f"rule(kappa={kappa:g})"
-    asg = Assignment(
-        label=label,
-        kappa=kappa,
-        gtilde1=gtilde1,
-        tau_row=np.full(ds.n, float(policy.tau)),
-        fold_taus=(float(policy.tau),),
-        pct_treated=float(np.mean(gtilde1)),
-        pct_stochastic=float(np.mean(interior)),
-    )
+    asg = _policy_assignment(policy, ds.w, 1)
     return _estimate_core(
         y=ds.y,
         a=ds.a,
@@ -579,8 +549,6 @@ def evaluate_grid(
     nuisances, so grid-vs-static contrasts difference paired influence
     functions.
     """
-    from .rule import StaticPolicy
-
     cfg = config or PipelineConfig()
     kappas = tuple(float(k) for k in kappas)
     for k in kappas:

@@ -339,6 +339,16 @@ def test_validation_errors_exit_1(workdir, capsys, tmp_path):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("folds", 2.5), ("seed", 1.5),
+                                        ("bootstrap_replicates", 3.5), ("threads", True)])
+def test_config_rejects_non_integer_fields(workdir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["evaluate", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5",
+                 "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_version_and_help_exit_0(capsys):
     assert main(["--version"]) == 0
     assert "rcpolicy" in capsys.readouterr().out

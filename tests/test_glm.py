@@ -55,17 +55,17 @@ def test_separation_falls_back():
     assert np.isfinite(fit.coef).all()
 
 
-def test_intercept_fallback_respects_offset():
-    # with a nonzero offset the intercept solves the offset-adjusted score
+def test_intercept_fallback_solves_mean_score():
+    # singular design with the all-ones column second: the fallback puts
+    # the intercept there and solves sum(y - expit(b0)) = 0
     n = 500
     rng = np.random.default_rng(3)
-    off = rng.normal(size=n)
-    y = rng.binomial(1, expit(off + 0.4)).astype(float)
-    X = np.column_stack([np.ones(n), np.zeros(n)])  # singular on purpose
-    fit = glm.fit_logistic(X, y, offset=off)
+    y = rng.binomial(1, 0.3, size=n).astype(float)
+    X = np.column_stack([np.zeros(n), np.ones(n)])
+    fit = glm.fit_logistic(X, y)
     assert fit.fallback == "singular_design"
-    mu = expit(off + fit.coef[0])
-    assert abs(np.mean(y - mu)) < 1e-8
+    assert fit.coef[0] == 0.0
+    assert abs(np.mean(y - expit(fit.coef[1]))) < 1e-8
 
 
 def test_stepwise_selects_true_term():

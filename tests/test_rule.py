@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcpolicy import (
@@ -11,7 +11,6 @@ from rcpolicy import (
     build_policy,
     generate,
     solve_threshold,
-    survival,
 )
 from rcpolicy.dgp import ADAPTR_BLIPS, ADAPTR_MASSES
 
@@ -21,31 +20,6 @@ BLIPS = np.array(ADAPTR_BLIPS)
 # integer-count expansion of the mass function (masses sum to 0.9999,
 # so 10000x the masses are exact integer counts)
 EXPANDED = np.repeat(BLIPS, (MASSES * 10000).round().astype(int))
-
-
-# --- survival ----------------------------------------------------------------
-
-
-def test_survival_direct_count():
-    assert survival((0.1, 0.2, 0.3), 0.15) == pytest.approx(2 / 3, abs=1e-15)
-
-
-def test_survival_population_masses():
-    # tail above 0.07 is 7829/9999 after renormalization
-    assert survival(EXPANDED, 0.07) == pytest.approx(0.782978297829783, abs=1e-12)
-    assert round(survival(EXPANDED, 0.07), 3) == 0.783
-
-
-def test_survival_above_max_is_zero():
-    assert survival((0.1, 0.2, 0.3), 0.3) == 0.0
-    assert survival((0.1, 0.2, 0.3), 5.0) == 0.0
-
-
-def test_survival_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        survival((), 0.1)
-    with pytest.raises(ValueError):
-        survival((0.1, np.nan), 0.1)
 
 
 # --- threshold solving -------------------------------------------------------
@@ -96,6 +70,13 @@ def test_solve_threshold_rejects_bad_kappa():
     for kappa in (-0.1, 1.1, np.nan):
         with pytest.raises(ValueError):
             solve_threshold((0.1, 0.2), kappa)
+
+
+def test_solve_threshold_rejects_degenerate_blips():
+    with pytest.raises(ValueError, match="empty"):
+        solve_threshold((), 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_threshold((0.1, np.nan), 0.5)
 
 
 def test_solve_threshold_tie_tolerance_groups_atoms():
@@ -211,12 +192,14 @@ def test_threshold_monotone_in_kappa_property(blips):
 
 @settings(max_examples=100, deadline=None)
 @given(blips=blip_lists, kappa=st.floats(min_value=0.0, max_value=1.0))
+# positive blips tied with zero must not break a zero budget
+@example(blips=[0.0, 1e-15, 1e-15], kappa=0.0)
 def test_assignment_respects_threshold_property(blips, kappa):
     sol = solve_threshold(blips, kappa)
     b = np.asarray(blips, dtype=float)
-    from rcpolicy.rule import _assign_from_blips
+    from rcpolicy.rule import assign_from_blips
 
-    assign = _assign_from_blips(b, sol)
+    assign = assign_from_blips(b, sol)
     assert np.all((assign >= 0.0) & (assign <= 1.0))
     if sol.tau > 0.0:
         assert np.all(assign[b > sol.tau + 1e-9] == 1.0)

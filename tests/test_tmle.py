@@ -133,6 +133,19 @@ def test_tmle_matches_hand_gcomputation_exactly():
     assert est_half.pct_treated == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("arm, label", [(1, "treat_all"), (0, "treat_none"),
+                                        (None, "rule(kappa=0.5)")])
+def test_single_and_cv_routes_describe_a_policy_alike(arm, label):
+    ds = _two_cell_dataset()
+    policy = build_policy(_CellBlip(), ds, 0.5) if arm is None else StaticPolicy(arm)
+    cfg = PipelineConfig(folds=2, g_known=0.5, outcome_library=("mean",), blip_library=("mean",))
+    single = tmle_value(ds, policy, q=_CellMeanQ(), g=_KnownHalfG())
+    cv = cv_tmle_value(ds, policy, cfg)
+    assert single.label == label
+    fields = ("label", "kappa", "pct_treated", "pct_stochastic")
+    assert [getattr(single, f) for f in fields] == [getattr(cv, f) for f in fields]
+
+
 def test_grid_endpoints_bit_identical_to_statics(adaptr_2k, lean_config):
     res = evaluate_grid(adaptr_2k, (0.0, 0.5, 1.0), lean_config)
     zero, one = res.estimate_at(0.0), res.estimate_at(1.0)
@@ -233,10 +246,12 @@ def test_training_fold_losing_an_arm_errors():
         y=np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]),
         covariate_names=("w1",),
     )
-    cfg = PipelineConfig(folds=2, g_estimate=True,
-                         outcome_library=("mean",), blip_library=("mean",))
-    with pytest.raises(ValueError, match="lost a treatment arm"):
-        fit_folds(ds, cfg)
+    # a known g must not mask the lost arm: the outcome fit would then see
+    # one arm only and report a falsely precise value
+    for g in (dict(g_estimate=True), dict(g_known=0.5)):
+        cfg = PipelineConfig(folds=2, outcome_library=("mean",), blip_library=("mean",), **g)
+        with pytest.raises(ValueError, match="lost a treatment arm"):
+            fit_folds(ds, cfg)
 
 
 def test_grid_rejects_out_of_range_kappa(adaptr_2k, lean_config):
