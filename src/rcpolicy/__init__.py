@@ -37,7 +37,7 @@ from .dgp import (
     one_interaction,
     oracle,
 )
-from .icer import IcerCurve, IcerEstimate, icer, icer_curve, ratio
+from .icer import IcerCurve, IcerEstimate, icer_curve, ratio
 from .learners import (
     BlipModel,
     OutcomeModel,
@@ -64,7 +64,6 @@ from .tmle import (
     CvNuisance,
     GridResult,
     ValueEstimate,
-    contrast,
     contrast_estimates,
     cv_tmle_value,
     derive_seed,
@@ -103,7 +102,6 @@ __all__ = [
     "config_hash",
     "constant_blip",
     "continuous_blip",
-    "contrast",
     "contrast_estimates",
     "cv_tmle_value",
     "default_schema",
@@ -115,7 +113,6 @@ __all__ = [
     "fit_outcome",
     "fit_propensity",
     "generate",
-    "icer",
     "icer_curve",
     "ingest_csv",
     "make_pseudo_outcome",

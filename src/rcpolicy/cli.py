@@ -49,28 +49,6 @@ _DGP_FACTORIES = {
     "one_interaction": one_interaction,
 }
 
-# JSON config keys that are not PipelineConfig fields, per subcommand
-_DATA_KEYS = {
-    "data",
-    "columns",
-    "treatment_col",
-    "outcome_col",
-    "cost_col",
-    "covariate_cols",
-    "outcome_kind",
-    "y_bounds",
-}
-_EXTRA_KEYS = {
-    "simulate": {"dgp", "n", "out", "oracle", "kappa_grid", "unit_cost", "cost_noise_sd", "no_cost"},
-    "fit-rule": _DATA_KEYS | {"kappa", "out", "save_model", "assignments"},
-    "evaluate": _DATA_KEYS | {"kappa_grid", "out"},
-    "msm": _DATA_KEYS | {"kappa_grid", "out", "plot_out"},
-    "icer": _DATA_KEYS | {"kappa_grid", "comparator", "out", "plane_out"},
-    "subgroups": _DATA_KEYS | {"alpha", "max_levels", "out"},
-    "plot-data": {"what", "model", "results", "out"},
-}
-
-
 class CliError(Exception):
     """Validation problem; maps to exit code 1."""
 
@@ -179,7 +157,9 @@ def _resolve_config(args) -> tuple[PipelineConfig, dict]:
     """Defaults < RC_POLICY_SEED < JSON --config < explicit flags.
 
     Returns the pipeline config plus the command-specific keys found in
-    the JSON file (flags still override those; see _extra).
+    the JSON file (flags still override those; see _extra). A command
+    accepts the PipelineConfig fields, its own flags' dests, and
+    `columns` when it reads --data.
     """
     base: dict = {}
     env_seed = os.environ.get("RC_POLICY_SEED")
@@ -200,7 +180,9 @@ def _resolve_config(args) -> tuple[PipelineConfig, dict]:
             raise CliError(f"--config {config_path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise CliError(f"--config {config_path}: top level must be a JSON object")
-        allowed_extras = _EXTRA_KEYS[args.command]
+        allowed_extras = set(vars(args)) - {"command", "func", "config"}
+        if "data" in allowed_extras:
+            allowed_extras.add("columns")
         for key, val in loaded.items():
             if key in PipelineConfig.field_names():
                 base[key] = val
@@ -654,10 +636,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, bootstrap: bool = False, ice
                      help="comma-separated outcome learners (mean,glm,univariate,step_aic)")
     grp.add_argument("--blip-library", dest="blip_library",
                      help="comma-separated blip learners")
-    grp.add_argument("--shared-blip", action=argparse.BooleanOptionalAction, dest="shared_blip",
-                     default=None, help="fit one full-data blip model instead of per-fold fits")
     grp.add_argument("--ci-level", type=float, dest="ci_level", help="confidence level (default 0.95)")
-    grp.add_argument("--threads", type=int, help="worker cap for parallel sections")
     if bootstrap:
         grp.add_argument("--bootstrap", type=int, dest="bootstrap_replicates", metavar="BOOTSTRAP",
                          help="bootstrap replicates (default 1000)")
@@ -704,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-cost", type=float, dest="unit_cost", help="cost per treated unit")
     p.add_argument("--cost-noise-sd", type=float, dest="cost_noise_sd",
                    help="sd of additive cost noise")
-    p.add_argument("--no-cost", action="store_true", dest="no_cost",
+    p.add_argument("--no-cost", action="store_true", dest="no_cost", default=None,
                    help="omit the cost column")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_simulate)

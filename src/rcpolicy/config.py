@@ -30,21 +30,21 @@ class PipelineConfig:
     g_estimate: bool | None = None  # None: estimate exactly when g_known is absent
     g_min: float = 0.01
     seed: int = 0
-    shared_blip: bool = False  # True: one full-data blip fit reused across CV folds
     ci_level: float = 0.95
     epsilon_den: float = 1e-4  # ICER denominator instability guard (scaled outcome)
     effect_units: str = "pp"  # "pp" or "probability" for binary-outcome ICER denominators
     bootstrap_replicates: int = 1000
     bootstrap_mode: str = "refit"  # or "fixed-rule"
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("folds", "seed", "bootstrap_replicates", "threads"):
+        for name in ("folds", "seed", "bootstrap_replicates"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.outcome_library or not self.blip_library:
             raise ValueError("learner libraries must be non-empty")
         if self.g_known is not None and not (0.0 < self.g_known < 1.0):
@@ -59,8 +59,6 @@ class PipelineConfig:
             raise ValueError("bootstrap_mode must be 'refit' or 'fixed-rule'")
         if self.bootstrap_replicates < 1:
             raise ValueError("bootstrap_replicates must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def estimate_propensity(self) -> bool:

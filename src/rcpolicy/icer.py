@@ -25,7 +25,7 @@ from .data import Dataset
 from .rule import StaticPolicy
 from .tmle import CvNuisance, ValueEstimate, assignment_for, fit_folds, value_from_assignment
 
-__all__ = ["IcerEstimate", "IcerCurve", "icer", "icer_curve", "ratio"]
+__all__ = ["IcerEstimate", "IcerCurve", "icer_curve", "ratio"]
 
 COMPARATORS = ("treat_none", "treat_all")
 
@@ -217,18 +217,6 @@ def _estimate_one(ctx: _IcerContext, kappa: float) -> IcerEstimate:
         components=components,
         ic=ic,
     )
-
-
-def icer(
-    ds: Dataset,
-    kappa: float,
-    comparator: str = "treat_none",
-    config: PipelineConfig | None = None,
-) -> IcerEstimate:
-    """ICER of the kappa-constrained rule against a static comparator."""
-    cfg = config or PipelineConfig()
-    ctx = _prepare(ds, comparator, cfg)
-    return _estimate_one(ctx, float(kappa))
 
 
 def icer_curve(

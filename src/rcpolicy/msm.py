@@ -86,14 +86,12 @@ class MsmFit:
         return rows
 
 
-def fit_msm(pairs, chord: tuple[float, float] | None = None, weights=None) -> MsmFit:
-    """OLS of values on budgets; unweighted unless weights are given.
+def fit_msm(pairs, chord: tuple[float, float] | None = None) -> MsmFit:
+    """Unweighted OLS of values on budgets.
 
     pairs is a sequence of (kappa, value). chord, when given, is
     (treat-none value, treat-all value); it is stored as (intercept,
-    slope) and differenced against the fitted coefficients. weights,
-    when given, fit the precision-weighted line instead (nonnegative,
-    not all zero).
+    slope) and differenced against the fitted coefficients.
     """
     pairs = [(float(k), float(v)) for k, v in pairs]
     if len(pairs) < 2:
@@ -104,11 +102,7 @@ def fit_msm(pairs, chord: tuple[float, float] | None = None, weights=None) -> Ms
         raise ValueError("non-finite (kappa, value) input")
     if np.all(kappas == kappas[0]):
         raise ValueError("all kappa values identical; the slope is undefined")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != kappas.shape or np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("weights must be nonnegative, one per point, not all zero")
-    coef = weighted_lstsq(np.column_stack([np.ones(len(kappas)), kappas]), values, weights)
+    coef = weighted_lstsq(np.column_stack([np.ones(len(kappas)), kappas]), values)
     beta0, beta1 = float(coef[0]), float(coef[1])
     chord_coefs = None
     contrast = None

@@ -11,9 +11,13 @@ tau and randomizes on the tie set so the budget binds exactly:
 Treat with probability 1 if blip > tau, with probability
 (kappa - S(tau)) / mass(blip = tau) if blip = tau and tau > 0, and
 never otherwise; at tau = 0 the rule is the unconstrained one,
-treat exactly when blip > 0. Blips within TIE_TOL of each other form
-one atom, so when the budget binds at an atom at or just below zero
-(eta in [-TIE_TOL, 0]), its members are untreated even if positive.
+treat exactly when blip > 0. Sorted blips are grouped into atoms: an
+atom is its smallest member (eta is always one of these) plus every
+blip at most TIE_TOL above it. "blip = tau" means a member of eta's
+atom and "blip > tau" a member of a higher atom, both when the
+threshold is solved and when rows are assigned. So when the budget
+binds at an atom at or below zero, its members stay untreated even if
+positive.
 """
 from __future__ import annotations
 
@@ -52,10 +56,8 @@ class ThresholdSolution:
         return self.s_at_tau + self.tie_prob * self.tie_mass
 
 
-def _group_atoms(
-    blips: np.ndarray, masses: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct blip values with probability masses, grouped at TIE_TOL."""
+def _sorted_rows(blips, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Blips in ascending order with their masses, normalized to sum to 1."""
     b = np.asarray(blips, dtype=float)
     if b.size == 0:
         raise ValueError("empty blip list")
@@ -71,19 +73,34 @@ def _group_atoms(
             raise ValueError("masses must be nonnegative with positive total")
         m = m / m.sum()
     order = np.argsort(b, kind="stable")
-    b, m = b[order], m[order]
+    return b[order], m[order]
+
+
+def _group_atoms(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atom representatives (smallest members) and masses of sorted rows."""
     values: list[float] = []
     weights: list[float] = []
     for v, p in zip(b, m):
         # merge by distance to the atom's representative value so every
-        # atom has diameter <= TIE_TOL and the later |b - tau| <= TIE_TOL
-        # membership test agrees with the grouping
+        # atom has diameter <= TIE_TOL; _above and _tied test the same
+        # difference, so assignment agrees with the grouping
         if values and v - values[-1] <= TIE_TOL:
             weights[-1] += p
         else:
             values.append(float(v))
             weights.append(float(p))
     return np.array(values), np.array(weights)
+
+
+def _above(b: np.ndarray, eta: float) -> np.ndarray:
+    """Blips treated for sure: positive and in an atom above eta's."""
+    return (b > 0.0) & (b - eta > TIE_TOL)
+
+
+def _tied(b: np.ndarray, tau: float) -> np.ndarray:
+    """Blips in the atom whose representative is tau."""
+    d = b - tau
+    return (d >= 0.0) & (d <= TIE_TOL)
 
 
 def solve_threshold(
@@ -98,9 +115,8 @@ def solve_threshold(
     """
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0, 1]")
-    values, weights = _group_atoms(
-        np.asarray(blips, dtype=float), None if masses is None else np.asarray(masses)
-    )
+    b, m = _sorted_rows(blips, masses)
+    values, weights = _group_atoms(b, m)
     # tail mass strictly above each atom; S is right-continuous, so the
     # infimum is attained at an atom (or never binds and eta = -inf)
     tail_above = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
@@ -112,12 +128,13 @@ def solve_threshold(
         eta = float(values[j])
     tau = max(eta, 0.0)
 
-    # strict exceedance; at tau = 0 the unconstrained rule's strict B > 0
-    # applies with no tie tolerance, so that any positive blip is treated
-    above = values > (tau + TIE_TOL if tau > 0.0 else 0.0)
-    at = np.abs(values - tau) <= TIE_TOL
-    s_at_tau = float(weights[above].sum())
-    tie_mass = float(weights[at].sum())
+    if tau > 0.0:
+        s_at_tau = float(weights[_above(values, eta)].sum())
+    else:
+        # the unconstrained rule's B > 0 splits atoms that straddle zero,
+        # so count rows, not atoms
+        s_at_tau = float(m[_above(b, eta)].sum())
+    tie_mass = float(weights[_tied(values, tau)].sum())
     if tau > 0.0 and tie_mass > 0.0:
         tie_prob = (kappa - s_at_tau) / tie_mass
         tie_prob = float(min(max(tie_prob, 0.0), 1.0))
@@ -139,23 +156,17 @@ def blip_atoms(blips: Sequence[float]) -> list[tuple[float, int]]:
     The atoms of the empirical blip distribution, as used for tie
     handling; suitable for histogram-style summaries of a fitted rule.
     """
-    b = np.asarray(blips, dtype=float)
-    values, weights = _group_atoms(b, None)
+    b, m = _sorted_rows(blips, None)
+    values, weights = _group_atoms(b, m)
     counts = np.rint(weights * b.size).astype(int)
     return [(float(v), int(c)) for v, c in zip(values, counts)]
 
 
 def assign_from_blips(b: np.ndarray, sol: ThresholdSolution) -> np.ndarray:
     """Treatment probability of each blip under a solved threshold."""
-    out = np.zeros(len(b))
-    if sol.tau > 0.0:
-        out[b > sol.tau + TIE_TOL] = 1.0
-        if sol.tie_prob > 0.0:
-            out[np.abs(b - sol.tau) <= TIE_TOL] = sol.tie_prob
-    else:
-        # unconstrained rule: treat positive blips, minus a binding atom
-        # that reaches above zero, which S(tau) does not count
-        out[b > max(sol.eta + TIE_TOL, 0.0)] = 1.0
+    out = np.where(_above(b, sol.eta), 1.0, 0.0)
+    if sol.tie_prob > 0.0:  # only when tau > 0, where tau == eta
+        out[_tied(b, sol.tau)] = sol.tie_prob
     return out
 
 

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-_TOL = 1e-10
+_TOL = 1e-10  # KKT tolerance on the reduced gradient
 
 
-def simplex_lstsq(Z: np.ndarray, y: np.ndarray, tol: float = _TOL) -> np.ndarray:
+def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Weights on the probability simplex minimizing mean squared error.
 
     Parameters
     ----------
     Z : (n, k) candidate prediction matrix
     y : (n,) target
-    tol : KKT tolerance on the reduced gradient
 
     Returns
     -------
@@ -84,7 +83,7 @@ def simplex_lstsq(Z: np.ndarray, y: np.ndarray, tol: float = _TOL) -> np.ndarray
         g = grad(w)
         mu = float(np.min(g[support]))  # on the support the gradient is flat at mu
         off = ~support
-        if not np.any(off) or float(np.min(g[off])) >= mu - tol:
+        if not np.any(off) or float(np.min(g[off])) >= mu - _TOL:
             return w
         j = int(np.argmin(np.where(off, g, np.inf)))
         support[j] = True

@@ -31,7 +31,6 @@ from .config import Z_975, PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import expit, logit
 from .learners import (
-    BlipModel,
     OutcomeModel,
     PropensityModel,
     fit_blip,
@@ -48,7 +47,6 @@ __all__ = [
     "GridResult",
     "ValueEstimate",
     "assignment_for",
-    "contrast",
     "contrast_estimates",
     "cv_tmle_value",
     "derive_seed",
@@ -173,35 +171,6 @@ def contrast_estimates(a: ValueEstimate, b: ValueEstimate, z: float | None = Non
     )
 
 
-def contrast(
-    ds: Dataset,
-    kappa: float,
-    comparator,
-    config: PipelineConfig | None = None,
-    nuisance: CvNuisance | None = None,
-) -> ContrastResult:
-    """Value difference between the kappa-constrained rule and a comparator.
-
-    comparator is "treat_all", "treat_none", or another kappa. Both
-    values ride on the same fold fits so the influence functions pair
-    row by row.
-    """
-    cfg = config or PipelineConfig()
-    if nuisance is None:
-        nuisance = fit_folds(ds, cfg)
-    est = value_from_assignment(nuisance, assignment_for(nuisance, kappa))
-    if comparator == "treat_all":
-        target = StaticPolicy(1)
-    elif comparator == "treat_none":
-        target = StaticPolicy(0)
-    elif isinstance(comparator, (int, float, np.floating)):
-        target = float(comparator)
-    else:
-        raise ValueError("comparator must be 'treat_all', 'treat_none', or a kappa")
-    other = value_from_assignment(nuisance, assignment_for(nuisance, target))
-    return contrast_estimates(est, other, cfg.z_value)
-
-
 # ---------------------------------------------------------------------------
 # cross-validated nuisance fits
 
@@ -242,9 +211,9 @@ def fit_folds(
 
     fold_id can be supplied to reuse an existing split (the cost side of
     a cost-effectiveness analysis must share folds with the outcome
-    side); otherwise folds are seeded and stratified by arm. With
-    config.shared_blip one blip model is fit on the full data and reused
-    across folds; thresholds are still solved per fold on training rows.
+    side); otherwise folds are seeded and stratified by arm. Each fold
+    fits its own outcome, propensity and blip models on its training
+    rows, so the rule applied to a held-out row was learned without it.
     """
     cfg = config or PipelineConfig()
     raw_bounds = ds.y_bounds if ds.y_scale is None else ds.y_scale
@@ -265,15 +234,6 @@ def fit_folds(
     train_blips: list[np.ndarray] = []
     warnings: list[str] = []
 
-    shared_blip_model: BlipModel | None = None
-    if cfg.shared_blip:
-        q_full = fit_outcome(ds, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, _Q_STREAM, 9999))
-        g_full = fit_propensity(ds, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
-        shared_blip_model = fit_blip(
-            ds, q_full, g_full, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, _BLIP_STREAM, 9999)
-        )
-        warnings.extend(f"shared blip: {w}" for w in (*q_full.warnings, *g_full.warnings, *shared_blip_model.warnings))
-
     for v in fold_values:
         val = fold_id == v
         train = ~val
@@ -284,18 +244,15 @@ def fit_folds(
             )
         q = fit_outcome(train_ds, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, _Q_STREAM, v))
         g = fit_propensity(train_ds, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
-        if cfg.shared_blip:
-            blip = shared_blip_model
-        else:
-            blip = fit_blip(
-                train_ds, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, _BLIP_STREAM, v)
-            )
+        blip = fit_blip(
+            train_ds, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, _BLIP_STREAM, v)
+        )
         q0[val] = q.predict(0, ds.w[val])
         q1[val] = q.predict(1, ds.w[val])
         g1[val] = g.predict(ds.w[val])
         val_blip[val] = blip.predict(ds.w[val])
         train_blips.append(blip.predict(train_ds.w))
-        for w_msg in (*q.warnings, *g.warnings, *(blip.warnings if not cfg.shared_blip else ())):
+        for w_msg in (*q.warnings, *g.warnings, *blip.warnings):
             warnings.append(f"fold {v}: {w_msg}")
 
     return CvNuisance(

@@ -91,6 +91,14 @@ def test_simulate_deterministic(tmp_path):
     assert meta["rows"] == 50
     assert meta["columns"][-2:] == ["y", "c"]
     assert meta["audit"]["seed"] == 9
+    # a JSON no_cost is not shadowed by the flag's unset default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"no_cost": true}')
+    d = str(tmp_path / "d.csv")
+    assert main(["simulate", "--dgp", "constant_blip", "--n", "50", "--seed", "9", "--out", d,
+                 "--config", str(cfg)]) == 0
+    assert _load(d + ".meta.json")["columns"][-1] == "y"
+    assert open(d).readline().rstrip().split(",")[-1] == "y"
 
 
 def test_simulate_env_seed(tmp_path, monkeypatch):
@@ -337,10 +345,14 @@ def test_validation_errors_exit_1(workdir, capsys, tmp_path):
     assert main(["evaluate", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5",
                  "--config", str(bad_cfg)]) == 1
     assert "unknown key" in capsys.readouterr().err
+    bad_cfg.write_text('{"threads": 1}')  # a removed knob is an unknown key
+    assert main(["evaluate", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5",
+                 "--config", str(bad_cfg)]) == 1
+    assert "unknown key 'threads'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("folds", 2.5), ("seed", 1.5),
-                                        ("bootstrap_replicates", 3.5), ("threads", True)])
+                                        ("bootstrap_replicates", 3.5), ("seed", -1)])
 def test_config_rejects_non_integer_fields(workdir, tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rcpolicy import Dataset, PipelineConfig, icer, icer_curve, ratio
+from rcpolicy import Dataset, PipelineConfig, icer_curve, ratio
 
 LEAN = PipelineConfig(folds=5, g_known=0.5,
                       outcome_library=("mean", "glm"), blip_library=("mean", "glm"))
@@ -28,7 +28,7 @@ def test_ratio_edge_cases():
 
 
 def test_icer_unconstrained_vs_none_near_oracle(adaptr_20k):
-    est = icer(adaptr_20k, 1.0, "treat_none", LEAN)
+    est = icer_curve(adaptr_20k, [1.0], "treat_none", LEAN).estimates[0]
     assert est.effect_units == "pp"
     assert not est.unstable
     assert abs(est.ratio - 5.3154) <= 3 * est.se
@@ -38,7 +38,7 @@ def test_icer_unconstrained_vs_none_near_oracle(adaptr_20k):
 
 
 def test_icer_ratio_consistent_with_components(adaptr_20k):
-    est = icer(adaptr_20k, 0.5, "treat_none", LEAN)
+    est = icer_curve(adaptr_20k, [0.5], "treat_none", LEAN).estimates[0]
     c = est.components
     num = c["cost_policy"].psi - c["cost_comparator"].psi
     den = 100.0 * (c["outcome_policy"].psi - c["outcome_comparator"].psi)
@@ -49,7 +49,7 @@ def test_icer_ratio_consistent_with_components(adaptr_20k):
 
 
 def test_icer_self_comparison_is_unstable(adaptr_2k):
-    est = icer(adaptr_2k, 1.0, "treat_all", LEAN)
+    est = icer_curve(adaptr_2k, [1.0], "treat_all", LEAN).estimates[0]
     assert est.denominator == 0.0
     assert est.numerator == 0.0
     assert est.unstable
@@ -70,8 +70,8 @@ def test_icer_cost_rescaling_equivariance(adaptr_2k):
     # x8 keeps every float operation on the same rounding grid
     ds8 = Dataset(w=adaptr_2k.w, a=adaptr_2k.a, y=adaptr_2k.y,
                   covariate_names=adaptr_2k.covariate_names, c=8.0 * adaptr_2k.c)
-    base = icer(adaptr_2k, 0.5, "treat_none", LEAN)
-    scaled = icer(ds8, 0.5, "treat_none", LEAN)
+    base = icer_curve(adaptr_2k, [0.5], "treat_none", LEAN).estimates[0]
+    scaled = icer_curve(ds8, [0.5], "treat_none", LEAN).estimates[0]
     assert scaled.denominator == base.denominator
     assert scaled.numerator == pytest.approx(8.0 * base.numerator, rel=1e-14)
     assert scaled.ratio == pytest.approx(8.0 * base.ratio, rel=1e-14)
@@ -82,7 +82,7 @@ def test_icer_constant_cost_degenerates(adaptr_2k):
     flat = Dataset(w=adaptr_2k.w, a=adaptr_2k.a, y=adaptr_2k.y,
                    covariate_names=adaptr_2k.covariate_names,
                    c=np.full(adaptr_2k.n, 52.6))
-    est = icer(flat, 0.5, "treat_none", LEAN)
+    est = icer_curve(flat, [0.5], "treat_none", LEAN).estimates[0]
     assert est.numerator == 0.0
     assert est.ratio == 0.0
     assert not est.unstable
@@ -92,7 +92,7 @@ def test_icer_constant_cost_degenerates(adaptr_2k):
 
 def test_icer_influence_mean_tracks_penalties(adaptr_20k):
     """The ratio influence values center up to the budget penalty residue."""
-    est = icer(adaptr_20k, 0.5, "treat_none", LEAN)
+    est = icer_curve(adaptr_20k, [0.5], "treat_none", LEAN).estimates[0]
     c = est.components
     pen_num = c["cost_policy"].components["penalty"].mean() \
         - c["cost_comparator"].components["penalty"].mean()
@@ -103,8 +103,9 @@ def test_icer_influence_mean_tracks_penalties(adaptr_20k):
 
 
 def test_icer_effect_unit_switch(adaptr_2k):
-    pp = icer(adaptr_2k, 0.5, "treat_none", LEAN)
-    prob = icer(adaptr_2k, 0.5, "treat_none", LEAN.replace(effect_units="probability"))
+    pp = icer_curve(adaptr_2k, [0.5], "treat_none", LEAN).estimates[0]
+    prob = icer_curve(adaptr_2k, [0.5], "treat_none",
+                      LEAN.replace(effect_units="probability")).estimates[0]
     assert prob.effect_units == "outcome"
     assert prob.denominator == pytest.approx(pp.denominator / 100.0, rel=1e-12)
     assert prob.ratio == pytest.approx(pp.ratio * 100.0, rel=1e-12)
@@ -116,6 +117,6 @@ def test_icer_validation(adaptr_2k):
     bare = Dataset(w=adaptr_2k.w, a=adaptr_2k.a, y=adaptr_2k.y,
                    covariate_names=adaptr_2k.covariate_names)
     with pytest.raises(ValueError, match="cost column"):
-        icer(bare, 0.5, "treat_none", LEAN)
+        icer_curve(bare, [0.5], "treat_none", LEAN)
     with pytest.raises(ValueError, match="comparator"):
-        icer(adaptr_2k, 0.5, "treat_some", LEAN)
+        icer_curve(adaptr_2k, [0.5], "treat_some", LEAN)

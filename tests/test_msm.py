@@ -61,30 +61,6 @@ def test_fit_rejects_degenerate_input():
         fit_msm([(0.0, np.nan), (1.0, 0.8)])
 
 
-def test_weighted_fit_matches_hand_computation():
-    pairs = [(0.0, 0.60), (0.5, 0.71), (1.0, 0.76)]
-    wts = np.array([4.0, 1.0, 1.0])
-    fit = fit_msm(pairs, weights=wts)
-    X = np.column_stack([np.ones(3), [0.0, 0.5, 1.0]])
-    y = np.array([0.60, 0.71, 0.76])
-    XtW = X.T * wts
-    beta = np.linalg.solve(XtW @ X, XtW @ y)
-    assert fit.beta0 == pytest.approx(beta[0], abs=1e-12)
-    assert fit.beta1 == pytest.approx(beta[1], abs=1e-12)
-    # weighting must actually move the line off the unweighted fit
-    assert fit.beta1 != pytest.approx(fit_msm(pairs).beta1, abs=1e-6)
-
-
-def test_weighted_fit_validation():
-    pairs = [(0.0, 0.6), (1.0, 0.7)]
-    with pytest.raises(ValueError):
-        fit_msm(pairs, weights=[1.0])
-    with pytest.raises(ValueError):
-        fit_msm(pairs, weights=[-1.0, 2.0])
-    with pytest.raises(ValueError):
-        fit_msm(pairs, weights=[0.0, 0.0])
-
-
 def test_residual_orthogonality():
     fit = fit_msm(zip(REFERENCE_KAPPAS, REFERENCE_VALUES))
     r = np.array(fit.residuals)

@@ -194,6 +194,10 @@ def test_threshold_monotone_in_kappa_property(blips):
 @given(blips=blip_lists, kappa=st.floats(min_value=0.0, max_value=1.0))
 # positive blips tied with zero must not break a zero budget
 @example(blips=[0.0, 1e-15, 1e-15], kappa=0.0)
+# a blip of the atom just below tau must not get the tie probability
+@example(blips=[0.5, 0.5 + 0.9e-9, 0.5 + 1.1e-9, 1.0], kappa=0.4)
+# an atom below zero with a positive member: S(tau) counts what is treated
+@example(blips=[-3e-9, -5e-10, 3e-10], kappa=0.7)
 def test_assignment_respects_threshold_property(blips, kappa):
     sol = solve_threshold(blips, kappa)
     b = np.asarray(blips, dtype=float)
@@ -208,3 +212,4 @@ def test_assignment_respects_threshold_property(blips, kappa):
         assert np.all(assign[b > 1e-9] == 1.0)
         assert np.all(assign[b <= 0.0] == 0.0)
     assert np.mean(assign) <= kappa + 1.0 / len(b) + 1e-12
+    assert abs(np.mean(assign) - sol.expected_treated) <= 1e-12

@@ -11,7 +11,7 @@ from rcpolicy import (
     adaptr_like,
     build_policy,
     constant_blip,
-    contrast,
+    contrast_estimates,
     cv_tmle_value,
     derive_seed,
     evaluate_grid,
@@ -172,7 +172,10 @@ def test_oracle_nuisance_values_near_truth():
 
 
 def test_contrast_with_self_is_degenerate(adaptr_2k, lean_config):
-    res = contrast(adaptr_2k, 0.5, 0.5, lean_config)
+    nuis = fit_folds(adaptr_2k, lean_config)
+    a = cv_tmle_value(adaptr_2k, 0.5, lean_config, nuisance=nuis)
+    b = cv_tmle_value(adaptr_2k, 0.5, lean_config, nuisance=nuis)
+    res = contrast_estimates(a, b, lean_config.z_value)
     assert res.diff == 0.0
     assert res.se == 0.0
     assert res.ci == (0.0, 0.0)
@@ -181,16 +184,12 @@ def test_contrast_with_self_is_degenerate(adaptr_2k, lean_config):
 def test_contrast_unconstrained_vs_none_covers_ate(lean_config):
     spec = adaptr_like(seed=17)
     ds = generate(spec, 20000)
-    res = contrast(ds, 1.0, "treat_none", lean_config)
+    grid = evaluate_grid(ds, [1.0], lean_config)
+    res = contrast_estimates(grid.estimates[0], grid.treat_none, lean_config.z_value)
     assert abs(res.diff - 0.098957) <= 3 * res.se
     assert res.ci[0] <= 0.098957 <= res.ci[1]
     assert res.label_a == "kappa=1"
     assert res.label_b == "treat_none"
-
-
-def test_contrast_rejects_unknown_comparator(adaptr_2k, lean_config):
-    with pytest.raises(ValueError):
-        contrast(adaptr_2k, 0.5, "treat_some", lean_config)
 
 
 # --- scale and reuse behavior ---------------------------------------------------
