@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, config_hash
+from .config import PipelineConfig, config_hash, require_int
 from .data import ColumnSchema, Dataset, ingest_csv, scale_outcome, write_csv
 from .dgp import (
     DGP_KINDS,
@@ -327,7 +327,7 @@ def _cmd_simulate(args) -> None:
     n = _extra(args, extras, "n")
     if n is None:
         raise CliError("--n is required")
-    n = int(n)
+    n = require_int("n", n)
     out = _extra(args, extras, "out")
     if not out:
         raise CliError("--out is required")
@@ -561,7 +561,7 @@ def _cmd_icer(args) -> None:
 def _cmd_subgroups(args) -> None:
     cfg, extras = _resolve_config(args)
     alpha = float(_extra(args, extras, "alpha", 0.1))
-    max_levels = int(_extra(args, extras, "max_levels", 10))
+    max_levels = require_int("max_levels", _extra(args, extras, "max_levels", 10))
     ds = _load_dataset(args, extras)
     results = subgroup_scan(ds, alpha=alpha, max_levels=max_levels)
     blocks = []

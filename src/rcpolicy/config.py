@@ -21,6 +21,13 @@ Z_975 = 1.959964
 DEFAULT_LIBRARY = ("mean", "glm", "univariate", "step_aic")
 
 
+def require_int(name: str, value) -> int:
+    """value if it is an integer (bools are not), else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     outcome_library: tuple[str, ...] = DEFAULT_LIBRARY
@@ -38,9 +45,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("folds", "seed", "bootstrap_replicates"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.seed < 0:

@@ -130,7 +130,7 @@ def _prepare(ds: Dataset, comparator: str, cfg: PipelineConfig) -> _IcerContext:
             outcome_kind="bounded_real",
             y_bounds=(lo_c, hi_c),
         )
-        nuis_c = fit_folds(ds_cost, cfg, fold_id=nuis_y.fold_id)
+        nuis_c = fit_folds(ds_cost, cfg, fold_id=nuis_y.fold_id, blips=False)
     else:
         cost_const = lo_c
     comp_policy = StaticPolicy(1 if comparator == "treat_all" else 0)

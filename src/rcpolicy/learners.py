@@ -483,6 +483,8 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
     per-level arm-mean differences for plotting. Constant covariates are
     skipped with a note.
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if ds.n <= 4:
         raise ValueError("need more than 4 observations per tested model")
     if not ds.has_both_arms:

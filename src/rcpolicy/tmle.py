@@ -181,7 +181,10 @@ class CvNuisance:
 
     q0/q1/g1/val_blip[i] come from the fold whose validation set holds
     row i. train_blips[v] are fold v's blip predictions on its own
-    training rows, the distribution the per-fold threshold is solved on.
+    training rows, the distribution the per-fold threshold is solved on,
+    sorted ascending (every row has mass 1/n, so order changes no
+    solution). val_blip and train_blips are empty when the nuisance was
+    fit without blips; such a nuisance serves policy objects only.
     """
 
     ds: Dataset  # scaled copy of the analysis data
@@ -201,11 +204,14 @@ class CvNuisance:
 
     @property
     def folds(self) -> int:
-        return len(self.train_blips)
+        return len(np.unique(self.fold_id))
 
 
 def fit_folds(
-    ds: Dataset, config: PipelineConfig | None = None, fold_id: np.ndarray | None = None
+    ds: Dataset,
+    config: PipelineConfig | None = None,
+    fold_id: np.ndarray | None = None,
+    blips: bool = True,
 ) -> CvNuisance:
     """Fit outcome, propensity, and blip nuisances per CV fold.
 
@@ -214,6 +220,9 @@ def fit_folds(
     side); otherwise folds are seeded and stratified by arm. Each fold
     fits its own outcome, propensity and blip models on its training
     rows, so the rule applied to a held-out row was learned without it.
+    With blips=False the blip stacks are skipped (the cost side, which
+    only ever scores the outcome side's assignments); q and g are
+    unchanged, since each blip fit draws from its own seed stream.
     """
     cfg = config or PipelineConfig()
     raw_bounds = ds.y_bounds if ds.y_scale is None else ds.y_scale
@@ -230,7 +239,7 @@ def fit_folds(
     q0 = np.empty(n)
     q1 = np.empty(n)
     g1 = np.empty(n)
-    val_blip = np.empty(n)
+    val_blip = np.empty(n if blips else 0)
     train_blips: list[np.ndarray] = []
     warnings: list[str] = []
 
@@ -244,15 +253,20 @@ def fit_folds(
             )
         q = fit_outcome(train_ds, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, _Q_STREAM, v))
         g = fit_propensity(train_ds, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
-        blip = fit_blip(
-            train_ds, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, _BLIP_STREAM, v)
-        )
         q0[val] = q.predict(0, ds.w[val])
         q1[val] = q.predict(1, ds.w[val])
         g1[val] = g.predict(ds.w[val])
-        val_blip[val] = blip.predict(ds.w[val])
-        train_blips.append(blip.predict(train_ds.w))
-        for w_msg in (*q.warnings, *g.warnings, *blip.warnings):
+        fold_warnings = [*q.warnings, *g.warnings]
+        if blips:
+            blip = fit_blip(
+                train_ds, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, _BLIP_STREAM, v)
+            )
+            val_blip[val] = blip.predict(ds.w[val])
+            # stable, so the stored order is the one solve_threshold's own
+            # stable argsort gives (signed zeros included), now found in O(n)
+            train_blips.append(np.sort(blip.predict(train_ds.w), kind="stable"))
+            fold_warnings.extend(blip.warnings)
+        for w_msg in fold_warnings:
             warnings.append(f"fold {v}: {w_msg}")
 
     return CvNuisance(
@@ -315,6 +329,8 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
     """
     if not isinstance(target, (int, float, np.floating)):
         return _policy_assignment(target, nuis.ds.w, nuis.folds)
+    if not nuis.train_blips:
+        raise ValueError("a budget target needs a nuisance fit with blips")
     kappa = float(target)
     gtilde1 = np.empty(nuis.n)
     tau_row = np.empty(nuis.n)

@@ -277,6 +277,12 @@ def test_subgroups_payload(workdir, capsys):
     assert doc["alpha"] == 0.1
 
 
+@pytest.mark.parametrize("alpha", ["7", "0", "1", "-0.1", "nan"])
+def test_subgroups_rejects_alpha_outside_unit_interval(workdir, capsys, alpha):
+    assert main(["subgroups", "--data", workdir["csv"], "--alpha", alpha]) == 1
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+
 # --- plot-data ------------------------------------------------------------------
 
 
@@ -349,6 +355,16 @@ def test_validation_errors_exit_1(workdir, capsys, tmp_path):
     assert main(["evaluate", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5",
                  "--config", str(bad_cfg)]) == 1
     assert "unknown key 'threads'" in capsys.readouterr().err
+    # integer-valued keys outside PipelineConfig are not truncated either
+    out = tmp_path / "sim.csv"
+    bad_cfg.write_text('{"n": 7.9}')
+    assert main(["simulate", "--dgp", "null_effect", "--out", str(out),
+                 "--config", str(bad_cfg)]) == 1
+    assert "n must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    bad_cfg.write_text('{"max_levels": true}')
+    assert main(["subgroups", "--data", workdir["csv"], "--config", str(bad_cfg)]) == 1
+    assert "max_levels must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("folds", 2.5), ("seed", 1.5),

@@ -262,6 +262,13 @@ def test_subgroup_scan_flags_interacting_covariate():
     assert results["w1"].p_value < 1e-3
 
 
+def test_subgroup_scan_rejects_alpha_outside_unit_interval():
+    ds = generate(one_interaction(base_blip=0.05, interaction=0.3, seed=31), 200)
+    for alpha in (0.0, 1.0, 7.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            subgroup_scan(ds, alpha=alpha)
+
+
 def test_subgroup_scan_null_rejection_rates():
     """Non-interacting covariates reject near the nominal level."""
     spec = one_interaction(base_blip=0.05, interaction=0.3)

@@ -13,6 +13,7 @@ from rcpolicy import (
     solve_threshold,
 )
 from rcpolicy.dgp import ADAPTR_BLIPS, ADAPTR_MASSES
+from rcpolicy.rule import TIE_TOL, _group_atoms
 
 MASSES = np.array(ADAPTR_MASSES)
 BLIPS = np.array(ADAPTR_BLIPS)
@@ -213,3 +214,91 @@ def test_assignment_respects_threshold_property(blips, kappa):
         assert np.all(assign[b <= 0.0] == 0.0)
     assert np.mean(assign) <= kappa + 1.0 / len(b) + 1e-12
     assert abs(np.mean(assign) - sol.expected_treated) <= 1e-12
+
+
+# --- atom grouping: bit-identity with the row-by-row merge --------------------
+
+
+def _group_atoms_by_row(b, m):
+    """Reference: the row-by-row greedy merge _group_atoms must reproduce."""
+    values: list[float] = []
+    weights: list[float] = []
+    for v, p in zip(b, m):
+        if values and v - values[-1] <= TIE_TOL:
+            weights[-1] += p
+        else:
+            values.append(float(v))
+            weights.append(float(p))
+    return np.array(values), np.array(weights)
+
+
+# gaps between consecutive sorted blips: exact ties, near-tie chains that
+# straddle TIE_TOL, and gaps that always split
+gap = st.one_of(
+    st.just(0.0),
+    st.just(TIE_TOL),
+    st.floats(min_value=0.4, max_value=1.1).map(lambda f: f * TIE_TOL),
+    st.floats(min_value=1e-6, max_value=0.3),
+)
+
+
+@st.composite
+def sorted_rows(draw):
+    base = draw(st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                          st.sampled_from([0.0, -1e-9, 1e8, -3e7])))
+    gaps = draw(st.lists(gap, min_size=0, max_size=80))
+    b = np.array([base + 0.0] + gaps).cumsum()
+    if draw(st.booleans()):
+        m = np.full(b.size, 1.0 / b.size)
+    else:
+        m = np.array(draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
+                                   min_size=b.size, max_size=b.size)))
+    return np.sort(b), m
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=sorted_rows())
+@example(rows=(np.full(50, 0.25), np.full(50, 0.02)))  # constant blips
+@example(rows=(np.arange(40) * 0.6e-9, np.full(40, 1 / 40)))  # one long near-tie chain
+# rounding puts the exact test's atom end one row past (then one row short
+# of) what a search for rep + TIE_TOL finds
+@example(rows=(np.array([float.fromhex("-0x1.2fec24aebfc0fp-34"),
+                         float.fromhex("0x1.ffc3f86f02da9p-31"), 1.5e-9]), np.full(3, 1 / 3)))
+@example(rows=(np.array([float.fromhex("-0x1.079ec162f5600p-40"),
+                         float.fromhex("0x1.129ed6d214ac0p-30"), 1.6e-9]), np.full(3, 1 / 3)))
+def test_group_atoms_bit_identical_to_row_merge(rows):
+    b, m = rows
+    values, weights = _group_atoms(b, m)
+    ref_values, ref_weights = _group_atoms_by_row(b, m)
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    assert np.array_equal(_bits(weights), _bits(ref_weights))
+
+
+def _hex(sol):
+    return tuple(float(getattr(sol, f)).hex()
+                 for f in ("kappa", "eta", "tau", "s_at_tau", "tie_mass", "tie_prob"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=sorted_rows(), seed=st.integers(0, 2**32 - 1),
+       kappa=st.floats(min_value=0.0, max_value=1.0))
+def test_solve_threshold_ignores_row_order(rows, seed, kappa):
+    b = rows[0] + 0.0  # -0.0 and 0.0 sort as equals, so keep one zero
+    shuffled = np.random.default_rng(seed).permutation(b)
+    assert _hex(solve_threshold(shuffled, kappa)) == _hex(solve_threshold(b, kappa))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blips=st.lists(st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 0.3]), min_size=1, max_size=30)
+       | blip_lists,
+       kappa=st.floats(min_value=0.0, max_value=1.0))
+def test_solve_threshold_on_stably_presorted_blips_is_unchanged(blips, kappa):
+    # fit_folds stores each fold's training blips stably sorted; that must
+    # not change a single bit, signed zeros included
+    b = np.asarray(blips, dtype=float)
+    presorted = np.sort(b, kind="stable")
+    assert _hex(solve_threshold(presorted, kappa)) == _hex(solve_threshold(b, kappa))

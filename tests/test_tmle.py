@@ -238,6 +238,23 @@ def test_supplied_fold_id_is_respected(adaptr_2k, lean_config):
         fit_folds(adaptr_2k, lean_config, fold_id=fold_id[:10])
 
 
+def test_fit_without_blips_keeps_q_and_g(adaptr_2k, lean_config):
+    fold_id = np.random.default_rng(4).integers(0, 3, size=adaptr_2k.n)
+    for cfg in (lean_config, lean_config.replace(g_known=None)):
+        full = fit_folds(adaptr_2k, cfg, fold_id=fold_id)
+        lean = fit_folds(adaptr_2k, cfg, fold_id=fold_id, blips=False)
+        for key in ("q0", "q1", "g1", "fold_id", "scale"):
+            assert np.array_equal(getattr(lean, key), getattr(full, key)), key
+        assert lean.folds == full.folds == 3
+        assert lean.train_blips == () and lean.val_blip.size == 0
+        assert all(np.all(np.diff(tb) >= 0) for tb in full.train_blips)
+        static = assignment_for(lean, StaticPolicy(1))
+        assert static.fold_taus == (0.0,) * 3
+        assert value_from_assignment(lean, static).psi == value_from_assignment(full, static).psi
+        with pytest.raises(ValueError, match="blips"):
+            assignment_for(lean, 0.5)
+
+
 def test_training_fold_losing_an_arm_errors():
     ds = Dataset(
         w=np.arange(6, dtype=float)[:, None],
