@@ -5,7 +5,9 @@ plot-data. Every run resolves a single configuration (defaults, then the
 RC_POLICY_SEED environment variable, then a JSON --config overlay, then
 explicit flags), echoes it into an audit block on every artifact, and is
 byte-reproducible: identical inputs, config, and seed produce identical
-files. Exit codes: 0 success, 1 validation error, 2 numerical failure.
+files. A command's own keys (`kappa_grid`, `alpha`, `columns`, ...)
+follow the same precedence, and a JSON null leaves a key unset. Exit
+codes: 0 success, 1 validation error, 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -48,6 +50,14 @@ _DGP_FACTORIES = {
     "null_effect": null_effect,
     "one_interaction": one_interaction,
 }
+
+# command keys that fall back to a value when neither JSON nor a flag sets them
+_DEFAULTS = {
+    "simulate": {"kappa_grid": "0:1:0.1", "no_cost": False},
+    "icer": {"comparator": "treat-none"},
+    "subgroups": {"alpha": 0.1, "max_levels": 10},
+}
+
 
 class CliError(Exception):
     """Validation problem; maps to exit code 1."""
@@ -153,13 +163,14 @@ def _split_names(value) -> tuple[str, ...]:
     return tuple(p for p in parts if p)
 
 
-def _resolve_config(args) -> tuple[PipelineConfig, dict]:
+def _resolve_config(args) -> PipelineConfig:
     """Defaults < RC_POLICY_SEED < JSON --config < explicit flags.
 
-    Returns the pipeline config plus the command-specific keys found in
-    the JSON file (flags still override those; see _extra). A command
-    accepts the PipelineConfig fields, its own flags' dests, and
-    `columns` when it reads --data.
+    PipelineConfig fields resolve into the returned config. Every other
+    key a command accepts (its own flags' dests, plus `columns` when it
+    reads --data) is written onto `args` where the flag was not given,
+    and then _DEFAULTS fills what is still unset, so handlers read one
+    namespace. A JSON null leaves a command key unset.
     """
     base: dict = {}
     env_seed = os.environ.get("RC_POLICY_SEED")
@@ -168,7 +179,6 @@ def _resolve_config(args) -> tuple[PipelineConfig, dict]:
             base["seed"] = int(env_seed)
         except ValueError:
             raise CliError(f"RC_POLICY_SEED must be an integer, got {env_seed!r}") from None
-    extras: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -180,16 +190,19 @@ def _resolve_config(args) -> tuple[PipelineConfig, dict]:
             raise CliError(f"--config {config_path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise CliError(f"--config {config_path}: top level must be a JSON object")
-        allowed_extras = set(vars(args)) - {"command", "func", "config"}
-        if "data" in allowed_extras:
-            allowed_extras.add("columns")
+        command_keys = set(vars(args)) - {"command", "func", "config"}
+        if "data" in command_keys:
+            command_keys.add("columns")
         for key, val in loaded.items():
             if key in PipelineConfig.field_names():
                 base[key] = val
-            elif key in allowed_extras:
-                extras[key] = val
-            else:
+            elif key not in command_keys:
                 raise CliError(f"--config {config_path}: unknown key {key!r}")
+            elif getattr(args, key, None) is None:
+                setattr(args, key, val)
+    for key, val in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, key) is None:
+            setattr(args, key, val)
     for field in PipelineConfig.field_names():
         val = getattr(args, field, None)
         if val is not None:
@@ -198,17 +211,15 @@ def _resolve_config(args) -> tuple[PipelineConfig, dict]:
         if key in base:
             base[key] = _split_names(base[key])
     try:
-        cfg = PipelineConfig.from_dict(base)
+        return PipelineConfig.from_dict(base)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from None
-    return cfg, extras
 
 
-def _extra(args, extras: dict, name: str, default=None):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    return extras.get(name, default)
+def _required(value, flag: str):
+    if value is None:
+        raise CliError(f"--{flag} is required")
+    return value
 
 
 def _audit(cfg: PipelineConfig, context: dict) -> dict:
@@ -248,17 +259,23 @@ def _parse_bounds(text) -> tuple[float, float]:
     return lo, hi
 
 
-def _load_dataset(args, extras: dict, need_cost: bool = False) -> Dataset:
-    path = _extra(args, extras, "data")
-    if not path:
-        raise CliError("--data is required")
-    columns = extras.get("columns", {})
-    if not isinstance(columns, dict):
+def _load_dataset(args, need_cost: bool = False) -> tuple[Dataset, dict]:
+    """The --data CSV and the audit context that names it."""
+    path = _required(args.data or None, "data")  # an empty path counts as unset
+    columns = getattr(args, "columns", None)
+    if columns is None:
+        columns = {}
+    elif not isinstance(columns, dict):
         raise CliError("config key 'columns' must be a JSON object")
-    treatment = _extra(args, extras, "treatment_col", columns.get("treatment")) or "a"
-    outcome = _extra(args, extras, "outcome_col", columns.get("outcome")) or "y"
-    cost = _extra(args, extras, "cost_col", columns.get("cost"))
-    covs = _extra(args, extras, "covariate_cols", columns.get("covariates"))
+
+    def flag_or_column(name: str, key: str):
+        val = getattr(args, name)
+        return columns.get(key) if val is None else val
+
+    treatment = flag_or_column("treatment_col", "treatment") or "a"
+    outcome = flag_or_column("outcome_col", "outcome") or "y"
+    cost = flag_or_column("cost_col", "cost")
+    covs = flag_or_column("covariate_cols", "covariates")
     if covs is not None:
         covs = _split_names(covs)
     header = _read_header(path) if cost is None or covs is None else []
@@ -271,13 +288,12 @@ def _load_dataset(args, extras: dict, need_cost: bool = False) -> Dataset:
         covs = tuple(c for c in header if c not in special)
         if not covs:
             raise CliError(f"--data {path}: no covariate columns left after {sorted(special)}")
-    kind = _extra(args, extras, "outcome_kind")
+    kind = args.outcome_kind
     if kind in (None, "auto"):
         kind = None
     elif kind not in ("binary", "bounded_real"):
         raise CliError(f"--outcome-kind must be auto, binary, or bounded_real, got {kind!r}")
-    bounds_arg = _extra(args, extras, "y_bounds")
-    bounds = None if bounds_arg is None else _parse_bounds(bounds_arg)
+    bounds = None if args.y_bounds is None else _parse_bounds(args.y_bounds)
     schema = ColumnSchema(
         treatment=treatment,
         outcome=outcome,
@@ -286,59 +302,44 @@ def _load_dataset(args, extras: dict, need_cost: bool = False) -> Dataset:
         outcome_kind=kind,
         y_bounds=bounds,
     )
-    return ingest_csv(path, schema)
-
-
-def _dataset_context(args, extras: dict, ds: Dataset) -> dict:
-    return {
+    ds = ingest_csv(path, schema)
+    context = {
         "command": args.command,
-        "data": _extra(args, extras, "data"),
+        "data": path,
         "n": ds.n,
         "covariates": list(ds.covariate_names),
         "outcome_kind": ds.outcome_kind,
     }
+    return ds, context
 
 
 def _grid_setup(args, need_cost: bool = False):
-    """Config, required --kappa-grid, dataset and audit context of a grid command.
+    """Required --kappa-grid, dataset and audit context of a grid command.
 
-    Returns (cfg, extras, kappas, ds, context); context already holds the grid.
+    Returns (kappas, ds, context); context already holds the grid.
     """
-    cfg, extras = _resolve_config(args)
-    grid_arg = _extra(args, extras, "kappa_grid")
-    if grid_arg is None:
-        raise CliError("--kappa-grid is required")
-    kappas = parse_kappa_grid(str(grid_arg))
-    ds = _load_dataset(args, extras, need_cost)
-    context = _dataset_context(args, extras, ds)
+    kappas = parse_kappa_grid(str(_required(args.kappa_grid, "kappa-grid")))
+    ds, context = _load_dataset(args, need_cost)
     context["kappa_grid"] = kappas
-    return cfg, extras, kappas, ds, context
+    return kappas, ds, context
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_simulate(args) -> None:
-    cfg, extras = _resolve_config(args)
-    kind = _extra(args, extras, "dgp")
+def _cmd_simulate(args, cfg: PipelineConfig) -> None:
+    kind = args.dgp
     if kind not in _DGP_FACTORIES:
         raise CliError(f"--dgp must be one of {', '.join(DGP_KINDS)}")
-    n = _extra(args, extras, "n")
-    if n is None:
-        raise CliError("--n is required")
-    n = require_int("n", n)
-    out = _extra(args, extras, "out")
-    if not out:
-        raise CliError("--out is required")
-    with_cost = not bool(_extra(args, extras, "no_cost", False))
+    n = require_int("n", _required(args.n, "n"))
+    out = _required(args.out or None, "out")  # an empty path counts as unset
+    with_cost = not bool(args.no_cost)
     spec = _DGP_FACTORIES[kind](seed=cfg.seed, with_cost=with_cost)
-    unit_cost = _extra(args, extras, "unit_cost")
-    if unit_cost is not None:
-        spec = replace(spec, unit_cost=float(unit_cost))
-    noise = _extra(args, extras, "cost_noise_sd")
-    if noise is not None:
-        spec = replace(spec, cost_noise_sd=float(noise))
+    if args.unit_cost is not None:
+        spec = replace(spec, unit_cost=float(args.unit_cost))
+    if args.cost_noise_sd is not None:
+        spec = replace(spec, cost_noise_sd=float(args.cost_noise_sd))
     ds = generate(spec, n)
     write_csv(ds, out)
     context = {"command": "simulate", "dgp": kind, "n": n, "out": out, "with_cost": with_cost,
@@ -346,9 +347,8 @@ def _cmd_simulate(args) -> None:
     audit = _audit(cfg, context)
     header = list(ds.covariate_names) + ["a", "y"] + (["c"] if ds.c is not None else [])
     _emit_json({"columns": header, "rows": n, "audit": audit}, out + ".meta.json")
-    oracle_out = _extra(args, extras, "oracle")
-    if oracle_out:
-        grid = parse_kappa_grid(_extra(args, extras, "kappa_grid", "0:1:0.1"))
+    if args.oracle:
+        grid = parse_kappa_grid(args.kappa_grid)
         rep = oracle(spec, grid)
         rows = []
         for i, k in enumerate(rep.kappas):
@@ -376,16 +376,12 @@ def _cmd_simulate(args) -> None:
             "grid": rows,
             "audit": audit,
         }
-        _emit_json(payload, oracle_out)
+        _emit_json(payload, args.oracle)
 
 
-def _cmd_fit_rule(args) -> None:
-    cfg, extras = _resolve_config(args)
-    kappa_arg = _extra(args, extras, "kappa")
-    if kappa_arg is None:
-        raise CliError("--kappa is required")
-    kappas, single = _parse_kappa_arg(str(kappa_arg))
-    ds = _load_dataset(args, extras)
+def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
+    kappas, single = _parse_kappa_arg(str(_required(args.kappa, "kappa")))
+    ds, context = _load_dataset(args)
     ds_s = scale_outcome(ds)
     q = fit_outcome(ds_s, cfg.outcome_library, folds=cfg.folds, seed=derive_seed(cfg.seed, 11))
     g = fit_propensity(ds_s, known_value=cfg.g_known, estimate=cfg.g_estimate, g_min=cfg.g_min)
@@ -410,17 +406,15 @@ def _cmd_fit_rule(args) -> None:
             "pct_stochastic": pol.pct_stochastic,
         })
 
-    context = _dataset_context(args, extras, ds)
     context["kappa"] = kappas
     audit = _audit(cfg, context)
     if single:
         payload = {**blocks[0], "warnings": warnings, "audit": audit}
     else:
         payload = {"rules": blocks, "warnings": warnings, "audit": audit}
-    _emit_json(payload, _extra(args, extras, "out"))
+    _emit_json(payload, args.out)
 
-    model_out = _extra(args, extras, "save_model")
-    if model_out:
+    if args.save_model:
         _emit_json({
             "covariate_names": list(ds.covariate_names),
             "y_scale": list(ds_s.y_scale) if ds_s.y_scale else None,
@@ -428,17 +422,16 @@ def _cmd_fit_rule(args) -> None:
             "blip_atoms": [{"blip_value": v, "count": c} for v, c in blip_atoms(blips)],
             "rules": blocks,
             "audit": audit,
-        }, model_out)
+        }, args.save_model)
 
-    assign_out = _extra(args, extras, "assignments")
-    if assign_out:
+    if args.assignments:
         header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]
         assign_cols = [pol.assign_from_blips(blips) for pol in policies]
         rows = (
             [i, blips[i]] + [col[i] for col in assign_cols]
             for i in range(ds.n)
         )
-        _emit_csv(header, rows, assign_out, meta={"audit": audit})
+        _emit_csv(header, rows, args.assignments, meta={"audit": audit})
 
 
 def _contrast_block(est, static, z) -> dict:
@@ -457,8 +450,8 @@ def _static_block(est) -> dict:
     }
 
 
-def _cmd_evaluate(args) -> None:
-    cfg, extras, kappas, ds, context = _grid_setup(args)
+def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
+    kappas, ds, context = _grid_setup(args)
     result = evaluate_grid(ds, kappas, cfg)
     z = cfg.z_value
     entries = []
@@ -486,11 +479,11 @@ def _cmd_evaluate(args) -> None:
         "warnings": list(result.nuisance.warnings),
         "audit": _audit(cfg, context),
     }
-    _emit_json(payload, _extra(args, extras, "out"))
+    _emit_json(payload, args.out)
 
 
-def _cmd_msm(args) -> None:
-    cfg, extras, kappas, ds, context = _grid_setup(args)
+def _cmd_msm(args, cfg: PipelineConfig) -> None:
+    kappas, ds, context = _grid_setup(args)
     fit = msm_with_bootstrap(ds, kappas, cfg)
     ci = fit.boot_ci or {}
     plot_rows = [
@@ -511,17 +504,16 @@ def _cmd_msm(args) -> None:
         "plot_rows": plot_rows,
         "audit": _audit(cfg, context),
     }
-    _emit_json(payload, _extra(args, extras, "out"))
-    plot_out = _extra(args, extras, "plot_out")
-    if plot_out:
+    _emit_json(payload, args.out)
+    if args.plot_out:
         rows = ([r["kappa"], r["value"], r["fitted"], r["chord"]] for r in plot_rows)
-        _emit_csv(["kappa", "value", "fitted", "chord"], rows, plot_out,
+        _emit_csv(["kappa", "value", "fitted", "chord"], rows, args.plot_out,
                   meta={"audit": payload["audit"]})
 
 
-def _cmd_icer(args) -> None:
-    cfg, extras, kappas, ds, context = _grid_setup(args, need_cost=True)
-    comparator = str(_extra(args, extras, "comparator", "treat-none")).replace("-", "_")
+def _cmd_icer(args, cfg: PipelineConfig) -> None:
+    kappas, ds, context = _grid_setup(args, need_cost=True)
+    comparator = str(args.comparator).replace("-", "_")
     if comparator not in ("treat_none", "treat_all"):
         raise CliError("--comparator must be treat-none or treat-all")
     curve = icer_curve(ds, kappas, comparator=comparator, config=cfg)
@@ -550,19 +542,17 @@ def _cmd_icer(args) -> None:
         "n": ds.n,
         "audit": _audit(cfg, context),
     }
-    _emit_json(payload, _extra(args, extras, "out"))
-    plane_out = _extra(args, extras, "plane_out")
-    if plane_out:
+    _emit_json(payload, args.out)
+    if args.plane_out:
         csv_rows = ([p[den_key], p["numerator"], p["kappa"]] for p in plane)
-        _emit_csv([den_key, "numerator", "kappa"], csv_rows, plane_out,
+        _emit_csv([den_key, "numerator", "kappa"], csv_rows, args.plane_out,
                   meta={"audit": payload["audit"]})
 
 
-def _cmd_subgroups(args) -> None:
-    cfg, extras = _resolve_config(args)
-    alpha = float(_extra(args, extras, "alpha", 0.1))
-    max_levels = require_int("max_levels", _extra(args, extras, "max_levels", 10))
-    ds = _load_dataset(args, extras)
+def _cmd_subgroups(args, cfg: PipelineConfig) -> None:
+    alpha = float(args.alpha)
+    max_levels = require_int("max_levels", args.max_levels)
+    ds, context = _load_dataset(args)
     results = subgroup_scan(ds, alpha=alpha, max_levels=max_levels)
     blocks = []
     for r in results:
@@ -573,10 +563,9 @@ def _cmd_subgroups(args) -> None:
             "note": r.note,
             "levels": [asdict(lv) for lv in r.levels],
         })
-    context = _dataset_context(args, extras, ds)
     context["alpha"] = alpha
     payload = {"alpha": alpha, "results": blocks, "audit": _audit(cfg, context)}
-    _emit_json(payload, _extra(args, extras, "out"))
+    _emit_json(payload, args.out)
 
 
 _PLOT_SPECS = {
@@ -588,13 +577,12 @@ _PLOT_SPECS = {
 }
 
 
-def _cmd_plot_data(args) -> None:
-    _, extras = _resolve_config(args)
-    what = _extra(args, extras, "what")
+def _cmd_plot_data(args, cfg: PipelineConfig) -> None:
+    what = args.what
     if what not in _PLOT_SPECS:
         raise CliError(f"--what must be one of {', '.join(sorted(_PLOT_SPECS))}")
     flag, key, columns = _PLOT_SPECS[what]
-    source = _extra(args, extras, flag)
+    source = getattr(args, flag)
     if not source:
         raise CliError(f"plot-data --what {what} needs --{flag} <file.json>")
     try:
@@ -615,7 +603,7 @@ def _cmd_plot_data(args) -> None:
         columns = [den_key, "numerator", "kappa"]
     rows = ([rec.get(col) for col in columns] for rec in records)
     meta = {"source": os.path.basename(source), "what": what, "audit": doc.get("audit")}
-    _emit_csv(columns, rows, _extra(args, extras, "out"), meta=meta)
+    _emit_csv(columns, rows, args.out, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +740,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version print and stop
         return int(exc.code or 0)
     try:
-        args.func(args)
+        args.func(args, _resolve_config(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

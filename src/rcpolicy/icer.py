@@ -23,7 +23,7 @@ import numpy as np
 from .config import PipelineConfig
 from .data import Dataset
 from .rule import StaticPolicy
-from .tmle import CvNuisance, ValueEstimate, assignment_for, fit_folds, value_from_assignment
+from .tmle import ValueEstimate, assignment_for, fit_folds, value_from_assignment
 
 __all__ = ["IcerEstimate", "IcerCurve", "icer_curve", "ratio"]
 
@@ -76,19 +76,6 @@ class IcerCurve:
         return [(e.denominator, e.numerator, e.kappa) for e in self.estimates]
 
 
-@dataclass(frozen=True)
-class _IcerContext:
-    """Shared fold fits and comparator assignment reused across budgets."""
-
-    nuis_y: CvNuisance
-    nuis_c: CvNuisance | None  # None when costs are constant
-    cost_const: float | None
-    comp_eff: ValueEstimate
-    comp_cost: ValueEstimate | None
-    comparator: str
-    config: PipelineConfig
-
-
 def _constant_cost_estimate(value: float, n: int, label: str) -> ValueEstimate:
     # constant observed costs make every policy's cost value that constant
     zeros = np.zeros(n)
@@ -112,113 +99,6 @@ def _constant_cost_estimate(value: float, n: int, label: str) -> ValueEstimate:
     )
 
 
-def _prepare(ds: Dataset, comparator: str, cfg: PipelineConfig) -> _IcerContext:
-    if ds.c is None:
-        raise ValueError("cost-effectiveness analysis needs a cost column")
-    if comparator not in COMPARATORS:
-        raise ValueError(f"comparator must be one of {COMPARATORS}")
-    nuis_y = fit_folds(ds, cfg)
-    lo_c, hi_c = float(np.min(ds.c)), float(np.max(ds.c))
-    nuis_c = None
-    cost_const = None
-    if hi_c > lo_c:
-        ds_cost = Dataset(
-            w=ds.w,
-            a=ds.a,
-            y=ds.c,
-            covariate_names=ds.covariate_names,
-            outcome_kind="bounded_real",
-            y_bounds=(lo_c, hi_c),
-        )
-        nuis_c = fit_folds(ds_cost, cfg, fold_id=nuis_y.fold_id, blips=False)
-    else:
-        cost_const = lo_c
-    comp_policy = StaticPolicy(1 if comparator == "treat_all" else 0)
-    comp_asg = assignment_for(nuis_y, comp_policy)
-    comp_eff = value_from_assignment(nuis_y, comp_asg)
-    comp_cost = (
-        value_from_assignment(nuis_c, comp_asg) if nuis_c is not None else None
-    )
-    return _IcerContext(
-        nuis_y=nuis_y,
-        nuis_c=nuis_c,
-        cost_const=cost_const,
-        comp_eff=comp_eff,
-        comp_cost=comp_cost,
-        comparator=comparator,
-        config=cfg,
-    )
-
-
-def _estimate_one(ctx: _IcerContext, kappa: float) -> IcerEstimate:
-    cfg = ctx.config
-    asg = assignment_for(ctx.nuis_y, kappa)
-    eff_pol = value_from_assignment(ctx.nuis_y, asg)
-    if ctx.nuis_c is not None:
-        cost_pol = value_from_assignment(ctx.nuis_c, asg)
-        cost_comp = ctx.comp_cost
-    else:
-        n = ctx.nuis_y.n
-        cost_pol = _constant_cost_estimate(ctx.cost_const, n, asg.label)
-        cost_comp = _constant_cost_estimate(ctx.cost_const, n, ctx.comparator)
-
-    numerator = cost_pol.psi - cost_comp.psi
-    ic_num = cost_pol.eif - cost_comp.eif
-    eff_diff = eff_pol.psi - ctx.comp_eff.psi
-    ic_eff = eff_pol.eif - ctx.comp_eff.eif
-
-    lo_y, hi_y = ctx.nuis_y.scale
-    scaled_diff = eff_diff / (hi_y - lo_y)
-    unstable = abs(scaled_diff) <= cfg.epsilon_den
-
-    pp = ctx.nuis_y.ds.outcome_kind == "binary" and cfg.effect_units == "pp"
-    denominator = 100.0 * eff_diff if pp else eff_diff
-    ic_den = 100.0 * ic_eff if pp else ic_eff
-    units = "pp" if pp else "outcome"
-
-    components = {
-        "outcome_policy": eff_pol,
-        "outcome_comparator": ctx.comp_eff,
-        "cost_policy": cost_pol,
-        "cost_comparator": cost_comp,
-    }
-    n = ctx.nuis_y.n
-    if unstable:
-        return IcerEstimate(
-            kappa=kappa,
-            label=asg.label,
-            comparator=ctx.comparator,
-            numerator=numerator,
-            denominator=denominator,
-            ratio=float("nan"),
-            se=None,
-            ci=None,
-            unstable=True,
-            effect_units=units,
-            n=n,
-            components=components,
-        )
-    r = numerator / denominator
-    ic = (ic_num - r * ic_den) / denominator
-    se = float(np.std(ic) / np.sqrt(n))
-    z = cfg.z_value
-    return IcerEstimate(
-        kappa=kappa,
-        label=asg.label,
-        comparator=ctx.comparator,
-        numerator=numerator,
-        denominator=denominator,
-        ratio=float(r),
-        se=se,
-        ci=(float(r) - z * se, float(r) + z * se),
-        unstable=False,
-        effect_units=units,
-        n=n,
-        components=components,
-        ic=ic,
-    )
-
-
 def icer_curve(
     ds: Dataset,
     kappa_grid,
@@ -231,6 +111,73 @@ def icer_curve(
     are flagged on their entries, never fatal.
     """
     cfg = config or PipelineConfig()
-    ctx = _prepare(ds, comparator, cfg)
-    estimates = tuple(_estimate_one(ctx, float(k)) for k in kappa_grid)
-    return IcerCurve(comparator=comparator, estimates=estimates)
+    if ds.c is None:
+        raise ValueError("cost-effectiveness analysis needs a cost column")
+    if comparator not in COMPARATORS:
+        raise ValueError(f"comparator must be one of {COMPARATORS}")
+    nuis_y = fit_folds(ds, cfg)
+    n = nuis_y.n
+    lo_c, hi_c = float(np.min(ds.c)), float(np.max(ds.c))
+    nuis_c = None  # constant costs need no cost-side fits
+    if hi_c > lo_c:
+        ds_cost = Dataset(
+            w=ds.w,
+            a=ds.a,
+            y=ds.c,
+            covariate_names=ds.covariate_names,
+            outcome_kind="bounded_real",
+            y_bounds=(lo_c, hi_c),
+        )
+        nuis_c = fit_folds(ds_cost, cfg, fold_id=nuis_y.fold_id, blips=False)
+    comp_asg = assignment_for(nuis_y, StaticPolicy(1 if comparator == "treat_all" else 0))
+    comp_eff = value_from_assignment(nuis_y, comp_asg)
+    if nuis_c is not None:
+        comp_cost = value_from_assignment(nuis_c, comp_asg)
+    else:
+        comp_cost = _constant_cost_estimate(lo_c, n, comparator)
+
+    lo_y, hi_y = nuis_y.scale
+    pp = nuis_y.ds.outcome_kind == "binary" and cfg.effect_units == "pp"
+    z = cfg.z_value
+    estimates = []
+    for k in kappa_grid:
+        asg = assignment_for(nuis_y, float(k))
+        eff_pol = value_from_assignment(nuis_y, asg)
+        if nuis_c is not None:
+            cost_pol = value_from_assignment(nuis_c, asg)
+        else:
+            cost_pol = _constant_cost_estimate(lo_c, n, asg.label)
+        numerator = cost_pol.psi - comp_cost.psi
+        eff_diff = eff_pol.psi - comp_eff.psi
+        denominator = 100.0 * eff_diff if pp else eff_diff
+        unstable = abs(eff_diff / (hi_y - lo_y)) <= cfg.epsilon_den
+        r, se, ci, ic = float("nan"), None, None, None
+        if not unstable:
+            ic_num = cost_pol.eif - comp_cost.eif
+            ic_eff = eff_pol.eif - comp_eff.eif
+            ic_den = 100.0 * ic_eff if pp else ic_eff
+            r = numerator / denominator
+            ic = (ic_num - r * ic_den) / denominator
+            se = float(np.std(ic) / np.sqrt(n))
+            ci = (float(r) - z * se, float(r) + z * se)
+        estimates.append(IcerEstimate(
+            kappa=float(k),
+            label=asg.label,
+            comparator=comparator,
+            numerator=numerator,
+            denominator=denominator,
+            ratio=float(r),
+            se=se,
+            ci=ci,
+            unstable=unstable,
+            effect_units="pp" if pp else "outcome",
+            n=n,
+            components={
+                "outcome_policy": eff_pol,
+                "outcome_comparator": comp_eff,
+                "cost_policy": cost_pol,
+                "cost_comparator": comp_cost,
+            },
+            ic=ic,
+        ))
+    return IcerCurve(comparator=comparator, estimates=tuple(estimates))

@@ -3,9 +3,9 @@
 Three fitted objects come out of here: the outcome regression
 E[Y | A, W], the treatment mechanism g(1 | W), and the blip regression
 B(W) fit to a doubly-robust pseudo-outcome. The outcome and blip models
-are convex-weighted stacks: each candidate is fit per cross-validation
-fold, the held-out predictions form a matrix, and the weights minimize
-held-out squared error over the probability simplex.
+share one stack type and one fitting routine: each candidate is fit per
+cross-validation fold, the held-out predictions form a matrix, and the
+weights minimize held-out squared error over the probability simplex.
 
 Library specs (strings):
     "mean"        intercept-only
@@ -160,14 +160,8 @@ def _candidate_terms(
 
 
 def _fit_candidate(
-    spec: str,
-    T: np.ndarray,
-    y: np.ndarray,
-    family: str,
-    covariate_names: Sequence[str],
-    kind: str,
+    spec: str, terms: tuple[int, ...] | None, T: np.ndarray, y: np.ndarray, family: str
 ) -> LinearScorer:
-    terms = _candidate_terms(spec, covariate_names, kind)
     if terms is None:
         # stepwise: pool of non-intercept terms, greedy AIC selection
         pool = list(range(1, T.shape[1]))
@@ -180,58 +174,9 @@ def _fit_candidate(
     return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
 
 
-def _stack(
-    T: np.ndarray,
-    y: np.ndarray,
-    fold_id: np.ndarray,
-    specs: list[str],
-    family: str,
-    covariate_names: Sequence[str],
-    kind: str,
-):
-    """Cross-validated candidate predictions, simplex weights, full refits."""
-    from .simplex import simplex_lstsq
-
-    n = len(y)
-    k = len(specs)
-    Z = np.empty((n, k))
-    warnings: list[str] = []
-    for v in np.unique(fold_id):
-        train = fold_id != v
-        val = ~train
-        for j, spec in enumerate(specs):
-            scorer = _fit_candidate(spec, T[train], y[train], family, covariate_names, kind)
-            if scorer.fallback:
-                warnings.append(f"{spec}: {scorer.fallback} (fold {v})")
-            Z[val, j] = scorer.predict_terms(T[val])
-    weights = simplex_lstsq(Z, y)
-    cv_risks = np.mean((y[:, None] - Z) ** 2, axis=0)
-    ensemble_risk = float(np.mean((y - Z @ weights) ** 2))
-    fitted = []
-    for spec in specs:
-        scorer = _fit_candidate(spec, T, y, family, covariate_names, kind)
-        if scorer.fallback:
-            warnings.append(f"{spec}: {scorer.fallback} (full fit)")
-        fitted.append(scorer)
-    return fitted, weights, cv_risks, ensemble_risk, tuple(dict.fromkeys(warnings))
-
-
-def _stack_predict(candidates, weights: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Simplex-weighted sum of the candidates' predictions, in candidate order."""
-    out = np.zeros(T.shape[0])
-    for wt, cand in zip(weights, candidates):
-        if wt > 0:
-            out += wt * cand.predict_terms(T)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# outcome regression
-
-
 @dataclass(frozen=True)
-class OutcomeModel:
-    """Stacked estimate of E[Y | A, W] on the scaled-outcome space."""
+class _Stack:
+    """Simplex-weighted stack of fitted candidates over one term matrix."""
 
     candidates: tuple[LinearScorer, ...]
     weights: np.ndarray
@@ -244,8 +189,62 @@ class OutcomeModel:
     def candidate_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.candidates)
 
+    def _predict_terms(self, T: np.ndarray) -> np.ndarray:
+        """Weighted sum of the candidates' predictions, in candidate order."""
+        out = np.zeros(T.shape[0])
+        for wt, cand in zip(self.weights, self.candidates):
+            if wt > 0:
+                out += wt * cand.predict_terms(T)
+        return out
+
+
+def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind: str,
+               library: Sequence[str], folds: int, seed: int):
+    """A `cls` stack of `library` on term matrix T: cross-validated
+    candidate predictions, simplex weights, full-data refits."""
+    from .simplex import simplex_lstsq
+
+    if ds.n < folds:
+        raise ValueError("need n >= folds")
+    specs = _expand_library(library, ds.covariate_names)
+    fold_id = stratified_folds(ds.a, folds, seed)
+    terms = [_candidate_terms(spec, ds.covariate_names, kind) for spec in specs]
+    Z = np.empty((len(y), len(specs)))
+    warnings: list[str] = []
+    for v in np.unique(fold_id):
+        train = fold_id != v
+        val = ~train
+        for j, spec in enumerate(specs):
+            scorer = _fit_candidate(spec, terms[j], T[train], y[train], family)
+            if scorer.fallback:
+                warnings.append(f"{spec}: {scorer.fallback} (fold {v})")
+            Z[val, j] = scorer.predict_terms(T[val])
+    weights = simplex_lstsq(Z, y)
+    fitted = []
+    for spec, cols in zip(specs, terms):
+        scorer = _fit_candidate(spec, cols, T, y, family)
+        if scorer.fallback:
+            warnings.append(f"{spec}: {scorer.fallback} (full fit)")
+        fitted.append(scorer)
+    return cls(
+        candidates=tuple(fitted),
+        weights=weights,
+        cv_risks=np.mean((y[:, None] - Z) ** 2, axis=0),
+        ensemble_cv_risk=float(np.mean((y - Z @ weights) ** 2)),
+        covariate_names=ds.covariate_names,
+        warnings=tuple(dict.fromkeys(warnings)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# outcome regression
+
+
+class OutcomeModel(_Stack):
+    """Stacked estimate of E[Y | A, W] on the scaled-outcome space."""
+
     def predict(self, a, w: np.ndarray) -> np.ndarray:
-        out = _stack_predict(self.candidates, self.weights, _outcome_terms(a, w))
+        out = self._predict_terms(_outcome_terms(a, w))
         return np.clip(out, PRED_CLIP, 1.0 - PRED_CLIP)
 
     def predict_both(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,25 +262,11 @@ def fit_outcome(
     Binary outcomes use logistic candidates, rescaled continuous outcomes
     linear ones; either way the stack minimizes held-out squared error.
     """
-    if ds.n < folds:
-        raise ValueError("need n >= folds")
-    specs = _expand_library(library, ds.covariate_names)
     if np.any(ds.y < 0) or np.any(ds.y > 1):
         raise ValueError("outcome must be scaled to [0, 1] before fitting")
     family = "binomial" if ds.outcome_kind == "binary" else "gaussian"
-    fold_id = stratified_folds(ds.a, folds, seed)
-    T = _outcome_terms(ds.a, ds.w)
-    fitted, weights, cv_risks, ens, warn = _stack(
-        T, ds.y, fold_id, specs, family, ds.covariate_names, "outcome"
-    )
-    return OutcomeModel(
-        candidates=tuple(fitted),
-        weights=weights,
-        cv_risks=cv_risks,
-        ensemble_cv_risk=ens,
-        covariate_names=ds.covariate_names,
-        warnings=warn,
-    )
+    return _fit_stack(OutcomeModel, ds, _outcome_terms(ds.a, ds.w), ds.y, family, "outcome",
+                      library, folds, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +354,11 @@ def make_pseudo_outcome(ds: Dataset, q: OutcomeModel, g: PropensityModel) -> np.
     return sign / g_obs * (ds.y - qa) + q1 - q0
 
 
-@dataclass(frozen=True)
-class BlipModel:
+class BlipModel(_Stack):
     """Stacked regression of the pseudo-outcome on covariates."""
 
-    candidates: tuple[LinearScorer, ...]
-    weights: np.ndarray
-    cv_risks: np.ndarray
-    ensemble_cv_risk: float
-    covariate_names: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def candidate_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.candidates)
-
     def predict(self, w: np.ndarray) -> np.ndarray:
-        return _stack_predict(self.candidates, self.weights, _blip_terms(w))
+        return self._predict_terms(_blip_terms(w))
 
     def to_dict(self) -> dict:
         return {
@@ -435,23 +408,8 @@ def fit_blip(
     weights live on the probability simplex, so the ensemble's CV risk
     is never above the best single candidate's.
     """
-    if ds.n < folds:
-        raise ValueError("need n >= folds")
-    specs = _expand_library(library, ds.covariate_names)
-    d_pseudo = make_pseudo_outcome(ds, q, g)
-    fold_id = stratified_folds(ds.a, folds, seed)
-    T = _blip_terms(ds.w)
-    fitted, weights, cv_risks, ens, warn = _stack(
-        T, d_pseudo, fold_id, specs, "gaussian", ds.covariate_names, "blip"
-    )
-    return BlipModel(
-        candidates=tuple(fitted),
-        weights=weights,
-        cv_risks=cv_risks,
-        ensemble_cv_risk=ens,
-        covariate_names=ds.covariate_names,
-        warnings=warn,
-    )
+    return _fit_stack(BlipModel, ds, _blip_terms(ds.w), make_pseudo_outcome(ds, q, g),
+                      "gaussian", "blip", library, folds, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +443,8 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     if ds.n <= 4:
         raise ValueError("need more than 4 observations per tested model")
     if not ds.has_both_arms:

@@ -143,7 +143,6 @@ def msm_with_bootstrap(
     kappa_grid,
     config: PipelineConfig | None = None,
     replicates: int | None = None,
-    boot_config: PipelineConfig | None = None,
     grid: GridResult | None = None,
 ) -> MsmFit:
     """MSM point fit plus bootstrap intervals for line and chord contrast.
@@ -151,10 +150,8 @@ def msm_with_bootstrap(
     The point fit comes from full-data CV-TMLE values (pass `grid` to
     reuse an existing evaluation). Each replicate resamples n rows with
     replacement and recomputes (beta0, beta1, contrast0, contrast1);
-    percentile intervals land in boot_ci. boot_config, when given,
-    replaces the pipeline settings inside replicates only (a cheaper
-    library makes large replicate counts tractable); the mode and seed
-    always come from `config`. Deterministic given the master seed.
+    percentile intervals land in boot_ci. Deterministic given the master
+    seed.
 
     "refit" re-solves the rules on every resample; "fixed-rule" holds the
     full-data rules and is conditional on them, so when the blip ranking
@@ -173,16 +170,10 @@ def msm_with_bootstrap(
         raise ValueError("supplied grid does not match kappa_grid")
     point = _fit_from_grid(grid)
 
-    rep_cfg = boot_config or cfg
     draws = {key: np.empty(reps) for key in BOOT_KEYS}
     redraws = 0
 
-    fixed = None
-    if mode == "fixed-rule":
-        # the held-fixed rule comes from the main pipeline settings; only
-        # the per-replicate nuisance refits use the (possibly leaner)
-        # boot_config
-        fixed = _fixed_rule_policies(ds, kappas, cfg)
+    fixed = _fixed_rule_policies(ds, kappas, cfg) if mode == "fixed-rule" else None
 
     for r in range(reps):
         rng = np.random.default_rng(derive_seed(cfg.seed, _RESAMPLE_STREAM, r))
@@ -190,9 +181,9 @@ def msm_with_bootstrap(
         redraws += extra
         rep_seed = derive_seed(cfg.seed, _PIPELINE_STREAM, r)
         if mode == "refit":
-            fit_b = _fit_from_grid(evaluate_grid(ds_b, kappas, rep_cfg.replace(seed=rep_seed)))
+            fit_b = _fit_from_grid(evaluate_grid(ds_b, kappas, cfg.replace(seed=rep_seed)))
         else:
-            fit_b = _fixed_rule_replicate(ds_b, kappas, fixed, rep_cfg.replace(seed=rep_seed))
+            fit_b = _fixed_rule_replicate(ds_b, kappas, fixed, cfg.replace(seed=rep_seed))
         draws["beta0"][r] = fit_b.beta0
         draws["beta1"][r] = fit_b.beta1
         draws["contrast0"][r] = fit_b.contrast[0]

@@ -8,8 +8,8 @@ value is the plug-in mean of the fluctuated regression under the rule.
 
 Two routes share one core:
 
-  tmle_value      single-sample TMLE with nuisances fit (or supplied) on
-                  the full data and the rule taken as given.
+  tmle_value      single-sample TMLE with supplied nuisances and the
+                  rule taken as given.
   cv_tmle_value   cross-validated TMLE: nuisances and the rule are fit
                   per fold on training data, applied to the held-out
                   fold, and one pooled fluctuation targets the estimate.
@@ -457,27 +457,19 @@ def cv_tmle_value(
 def tmle_value(
     ds: Dataset,
     policy,
-    q: OutcomeModel | None = None,
-    g: PropensityModel | None = None,
+    q: OutcomeModel,
+    g: PropensityModel,
     config: PipelineConfig | None = None,
 ) -> ValueEstimate:
     """Single-sample TMLE of a given policy's value (no cross-fitting).
 
-    Nuisances default to full-data fits; pass q and g to use external
-    models (for instance oracle nuisances in simulations). The policy is
+    q and g are the outcome and propensity models, for instance
+    full-data refits or oracle nuisances in simulations. The policy is
     taken as given: its threshold is not re-solved here.
     """
     cfg = config or PipelineConfig()
     raw_bounds = ds.y_bounds if ds.y_scale is None else ds.y_scale
     ds = scale_outcome(ds)
-    warnings: tuple[str, ...] = ()
-    if q is None:
-        q = fit_outcome(ds, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, _Q_STREAM))
-        warnings = (*warnings, *q.warnings)
-    if g is None:
-        g = fit_propensity(ds, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
-        warnings = (*warnings, *g.warnings)
-
     asg = _policy_assignment(policy, ds.w, 1)
     return _estimate_core(
         y=ds.y,
@@ -489,7 +481,7 @@ def tmle_value(
         scale=raw_bounds,
         z=cfg.z_value,
         cv=False,
-        warnings=warnings,
+        warnings=(),
     )
 
 

@@ -214,8 +214,9 @@ def test_09_flat_curve_falsification_and_power():
         seed = 40000 + r
         ds = generate(constant_blip(0.1, 0.4, seed=seed), 1000)
         cfg = PipelineConfig(seed=seed, **LEAN)
-        boot = cfg.replace(folds=2)
-        fit = msm_with_bootstrap(ds, grid3, cfg, replicates=150, boot_config=boot)
+        # point fit on 3 folds, replicates on 2
+        fit = msm_with_bootstrap(ds, grid3, cfg.replace(folds=2), replicates=150,
+                                 grid=evaluate_grid(ds, grid3, cfg))
         lo0, hi0 = fit.boot_ci["contrast0"]
         lo1, hi1 = fit.boot_ci["contrast1"]
         cover0 += lo0 <= 0.0 <= hi0
@@ -229,8 +230,8 @@ def test_09_flat_curve_falsification_and_power():
         seed = 50000 + r
         ds = generate(one_interaction(0.0, 0.3, baseline=0.3, seed=seed), 5000)
         cfg = PipelineConfig(seed=seed, **LEAN)
-        boot = cfg.replace(folds=2)
-        fit = msm_with_bootstrap(ds, grid5, cfg, replicates=100, boot_config=boot)
+        fit = msm_with_bootstrap(ds, grid5, cfg.replace(folds=2), replicates=100,
+                                 grid=evaluate_grid(ds, grid5, cfg))
         lo0, hi0 = fit.boot_ci["contrast0"]
         lo1, hi1 = fit.boot_ci["contrast1"]
         rejections += (0.0 < lo0 or hi0 < 0.0) or (0.0 < lo1 or hi1 < 0.0)

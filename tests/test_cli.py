@@ -1,11 +1,13 @@
+import argparse
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from rcpolicy.cli import CliError, main, parse_kappa_grid
-from rcpolicy.config import config_hash
+from rcpolicy.cli import CliError, _resolve_config, build_parser, main, parse_kappa_grid
+from rcpolicy.config import PipelineConfig, config_hash
 from rcpolicy.dgp import adaptr_like, oracle
 
 LEAN_FLAGS = ["--folds", "3", "--g-known", "0.5",
@@ -283,6 +285,19 @@ def test_subgroups_rejects_alpha_outside_unit_interval(workdir, capsys, alpha):
     assert "alpha must be in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_levels", ["0", "-3"])
+def test_subgroups_rejects_non_positive_max_levels(workdir, capsys, max_levels):
+    assert main(["subgroups", "--data", workdir["csv"], "--max-levels", max_levels]) == 1
+    assert "max_levels must be >= 1" in capsys.readouterr().err
+
+
+def test_subgroups_json_null_means_unset(workdir, tmp_path, capsys):
+    cfg = tmp_path / "null.json"
+    cfg.write_text('{"alpha": null}')
+    assert main(["subgroups", "--data", workdir["csv"], "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.1
+
+
 # --- plot-data ------------------------------------------------------------------
 
 
@@ -440,3 +455,96 @@ def test_bounded_outcome_flags(tmp_path, capsys):
                  "--y-bounds", "6:2", "--folds", "2", "--g-known", "0.5",
                  "--outcome-library", "mean", "--blip-library", "mean"]) == 1
     assert "upper bound" in capsys.readouterr().err
+
+
+# --- one settings namespace ------------------------------------------------------
+
+_DATA_KEYS = {"data", "treatment_col", "outcome_col", "cost_col", "covariate_cols",
+              "outcome_kind", "y_bounds", "columns"}
+_COMMAND_KEYS = {
+    "simulate": {"dgp", "n", "out", "oracle", "kappa_grid", "unit_cost", "cost_noise_sd",
+                 "no_cost"},
+    "fit-rule": {"kappa", "out", "save_model", "assignments", *_DATA_KEYS},
+    "evaluate": {"kappa_grid", "out", *_DATA_KEYS},
+    "msm": {"kappa_grid", "out", "plot_out", *_DATA_KEYS},
+    "icer": {"kappa_grid", "comparator", "out", "plane_out", *_DATA_KEYS},
+    "subgroups": {"alpha", "max_levels", "out", *_DATA_KEYS},
+    "plot-data": {"what", "results", "model", "out"},
+}
+
+
+def test_every_subcommand_flag_defaults_to_none():
+    # a non-None argparse default would hide the JSON value of that key
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_COMMAND_KEYS)
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            if action.dest != "help":
+                assert action.default is None, (name, action.dest)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+def test_config_keys_accepted_per_command(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    accepted = set()
+    for key in set().union(*_COMMAND_KEYS.values(), {"no_such_key", "threads"}):
+        cfg.write_text(json.dumps({key: None}))
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        try:
+            _resolve_config(args)
+        except CliError as exc:
+            assert f"unknown key {key!r}" in str(exc)
+        else:
+            accepted.add(key)
+    assert accepted == _COMMAND_KEYS[command]
+    for key, val in PipelineConfig().to_dict().items():
+        cfg.write_text(json.dumps({key: val}))
+        _resolve_config(build_parser().parse_args([command, "--config", str(cfg)]))
+
+
+def _simulate_kappas(workdir, tmp_path, capsys, extra):
+    orc = tmp_path / "orc.json"
+    assert main(["simulate", "--dgp", "adaptr_like", "--n", "50", "--out",
+                 str(tmp_path / "s.csv"), "--oracle", str(orc), *extra]) == 0
+    return [row["kappa"] for row in _load(orc)["grid"]]
+
+
+def _msm_plot_files(workdir, tmp_path, capsys, extra):
+    assert main(["msm", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5",
+                 "--bootstrap", "2", "--out", str(tmp_path / "m.json"), *LEAN_FLAGS, *extra]) == 0
+    return sorted(f for f in os.listdir(tmp_path) if f.endswith(".csv"))
+
+
+def _icer_comparator(workdir, tmp_path, capsys, extra):
+    assert main(["icer", "--data", workdir["csv"], "--kappa-grid", "0.5:1:0.5",
+                 *LEAN_FLAGS, *extra]) == 0
+    return json.loads(capsys.readouterr().out)["comparator"]
+
+
+def _subgroups_alpha(workdir, tmp_path, capsys, extra):
+    assert main(["subgroups", "--data", workdir["csv"], *extra]) == 0
+    return json.loads(capsys.readouterr().out)["alpha"]
+
+
+@pytest.mark.parametrize("key, json_value, flag, run, from_json, from_flag, fallback", [
+    ("kappa_grid", "0:1:0.5", ["--kappa-grid", "0:1:0.25"], _simulate_kappas,
+     [0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], parse_kappa_grid("0:1:0.1")),
+    ("plot_out", "json.csv", ["--plot-out", "flag.csv"], _msm_plot_files,
+     ["json.csv"], ["flag.csv"], []),
+    ("comparator", "treat-all", ["--comparator", "treat-none"], _icer_comparator,
+     "treat_all", "treat_none", "treat_none"),
+    ("alpha", 0.2, ["--alpha", "0.3"], _subgroups_alpha, 0.2, 0.3, 0.1),
+])
+def test_command_key_json_under_flag_over_default(workdir, tmp_path, capsys, monkeypatch,
+                                                   key, json_value, flag, run, from_json,
+                                                   from_flag, fallback):
+    monkeypatch.chdir(tmp_path)  # relative output paths land in tmp_path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: json_value}))
+    for extra, expected in ((["--config", str(cfg)], from_json),
+                            (["--config", str(cfg), *flag], from_flag),
+                            ([], fallback)):
+        for f in tmp_path.glob("*.csv*"):
+            f.unlink()
+        assert run(workdir, tmp_path, capsys, extra) == expected

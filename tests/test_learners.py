@@ -269,6 +269,14 @@ def test_subgroup_scan_rejects_alpha_outside_unit_interval():
             subgroup_scan(ds, alpha=alpha)
 
 
+def test_subgroup_scan_rejects_non_positive_max_levels():
+    ds = generate(one_interaction(base_blip=0.05, interaction=0.3, seed=31), 200)
+    for max_levels in (0, -3):
+        with pytest.raises(ValueError, match="max_levels must be >= 1"):
+            subgroup_scan(ds, max_levels=max_levels)
+    assert all(len(r.levels) <= 1 for r in subgroup_scan(ds, max_levels=1))
+
+
 def test_subgroup_scan_null_rejection_rates():
     """Non-interacting covariates reject near the nominal level."""
     spec = one_interaction(base_blip=0.05, interaction=0.3)

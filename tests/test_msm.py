@@ -147,15 +147,6 @@ def test_bootstrap_modes_differ(boot_ds):
     assert refit.boot_mode == "refit"
 
 
-def test_bootstrap_boot_config_changes_draws_not_point(boot_ds):
-    full = msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT, replicates=3)
-    lean = msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT, replicates=3,
-                              boot_config=LEAN_BOOT.replace(outcome_library=("mean",),
-                                                            blip_library=("mean",)))
-    assert full.beta0 == lean.beta0 and full.beta1 == lean.beta1
-    assert not np.array_equal(full.boot_draws["beta0"], lean.boot_draws["beta0"])
-
-
 def test_bootstrap_reuses_supplied_grid(boot_ds):
     grid = evaluate_grid(boot_ds, (0.0, 1.0), LEAN_BOOT)
     fit = msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT, replicates=2, grid=grid)
