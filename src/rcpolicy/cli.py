@@ -36,10 +36,10 @@ from .dgp import (
     oracle,
 )
 from .icer import icer_curve, ratio
-from .learners import fit_blip, fit_outcome, fit_propensity, subgroup_scan
+from .learners import subgroup_scan
 from .msm import msm_with_bootstrap
 from .rule import blip_atoms, build_policy
-from .tmle import contrast_estimates, derive_seed, evaluate_grid
+from .tmle import BLIP_STREAM, Q_STREAM, contrast_estimates, derive_seed, evaluate_grid, fit_nuisance
 
 __all__ = ["main", "build_parser", "CliError"]
 
@@ -335,6 +335,7 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> None:
     n = require_int("n", _required(args.n, "n"))
     out = _required(args.out or None, "out")  # an empty path counts as unset
     with_cost = not bool(args.no_cost)
+    grid = parse_kappa_grid(str(args.kappa_grid)) if args.oracle else None
     spec = _DGP_FACTORIES[kind](seed=cfg.seed, with_cost=with_cost)
     if args.unit_cost is not None:
         spec = replace(spec, unit_cost=float(args.unit_cost))
@@ -348,7 +349,6 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> None:
     header = list(ds.covariate_names) + ["a", "y"] + (["c"] if ds.c is not None else [])
     _emit_json({"columns": header, "rows": n, "audit": audit}, out + ".meta.json")
     if args.oracle:
-        grid = parse_kappa_grid(args.kappa_grid)
         rep = oracle(spec, grid)
         rows = []
         for i, k in enumerate(rep.kappas):
@@ -383,11 +383,10 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
     kappas, single = _parse_kappa_arg(str(_required(args.kappa, "kappa")))
     ds, context = _load_dataset(args)
     ds_s = scale_outcome(ds)
-    q = fit_outcome(ds_s, cfg.outcome_library, folds=cfg.folds, seed=derive_seed(cfg.seed, 11))
-    g = fit_propensity(ds_s, known_value=cfg.g_known, estimate=cfg.g_estimate, g_min=cfg.g_min)
-    blip = fit_blip(ds_s, q, g, cfg.blip_library, folds=cfg.folds, seed=derive_seed(cfg.seed, 12))
+    q_seed, blip_seed = derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
+    _, _, blip, fit_warnings = fit_nuisance(ds_s, cfg, q_seed, blip_seed)
     blips = np.asarray(blip.predict(ds_s.w), dtype=float)
-    warnings = list(dict.fromkeys([*q.warnings, *g.warnings, *blip.warnings]))
+    warnings = list(dict.fromkeys(fit_warnings))
 
     blocks = []
     policies = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -58,18 +59,14 @@ class PipelineConfig:
             raise ValueError("g_min must be in (0, 0.5)")
         if not (0.0 < self.ci_level < 1.0):
             raise ValueError("ci_level must be in (0, 1)")
+        if not (math.isfinite(self.epsilon_den) and self.epsilon_den >= 0.0):
+            raise ValueError(f"epsilon_den must be finite and >= 0, got {self.epsilon_den!r}")
         if self.effect_units not in ("pp", "probability"):
             raise ValueError("effect_units must be 'pp' or 'probability'")
         if self.bootstrap_mode not in ("refit", "fixed-rule"):
             raise ValueError("bootstrap_mode must be 'refit' or 'fixed-rule'")
         if self.bootstrap_replicates < 1:
             raise ValueError("bootstrap_replicates must be >= 1")
-
-    @property
-    def estimate_propensity(self) -> bool:
-        if self.g_estimate is None:
-            return self.g_known is None
-        return self.g_estimate
 
     @property
     def z_value(self) -> float:

@@ -91,7 +91,6 @@ def _constant_cost_estimate(value: float, n: int, label: str) -> ValueEstimate:
         pct_stochastic=float("nan"),
         epsilon=0.0,
         score=0.0,
-        cv=True,
         fold_taus=(),
         eif=zeros,
         components={"residual": zeros, "plugin": zeros, "centering": zeros, "penalty": zeros},
@@ -136,7 +135,7 @@ def icer_curve(
     else:
         comp_cost = _constant_cost_estimate(lo_c, n, comparator)
 
-    lo_y, hi_y = nuis_y.scale
+    lo_y, hi_y = nuis_y.ds.y_scale
     pp = nuis_y.ds.outcome_kind == "binary" and cfg.effect_units == "pp"
     z = cfg.z_value
     estimates = []

@@ -24,9 +24,9 @@ import numpy as np
 from .config import PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import weighted_lstsq
-from .learners import fit_blip, fit_outcome, fit_propensity
 from .rule import StaticPolicy, build_policy
-from .tmle import GridResult, derive_seed, evaluate_grid, tmle_value
+from .tmle import (CvNuisance, GridResult, assignment_for, derive_seed, evaluate_grid,
+                   fit_nuisance, value_from_assignment)
 
 __all__ = ["MsmFit", "fit_msm", "msm_with_bootstrap"]
 
@@ -142,16 +142,15 @@ def msm_with_bootstrap(
     ds: Dataset,
     kappa_grid,
     config: PipelineConfig | None = None,
-    replicates: int | None = None,
     grid: GridResult | None = None,
 ) -> MsmFit:
     """MSM point fit plus bootstrap intervals for line and chord contrast.
 
     The point fit comes from full-data CV-TMLE values (pass `grid` to
-    reuse an existing evaluation). Each replicate resamples n rows with
-    replacement and recomputes (beta0, beta1, contrast0, contrast1);
-    percentile intervals land in boot_ci. Deterministic given the master
-    seed.
+    reuse an existing evaluation). Each of config.bootstrap_replicates
+    replicates resamples n rows with replacement and recomputes (beta0,
+    beta1, contrast0, contrast1); percentile intervals land in boot_ci.
+    Deterministic given the master seed.
 
     "refit" re-solves the rules on every resample; "fixed-rule" holds the
     full-data rules and is conditional on them, so when the blip ranking
@@ -159,9 +158,7 @@ def msm_with_bootstrap(
     the chosen rule. Prefer refit for chord-contrast inference.
     """
     cfg = config or PipelineConfig()
-    reps = cfg.bootstrap_replicates if replicates is None else int(replicates)
-    if reps < 1:
-        raise ValueError("replicates must be >= 1")
+    reps = cfg.bootstrap_replicates
     mode = cfg.bootstrap_mode
     kappas = tuple(float(k) for k in kappa_grid)
     if grid is None:
@@ -213,18 +210,18 @@ def _fixed_rule_policies(ds: Dataset, kappas, cfg: PipelineConfig):
     """Full-data blip fit and per-kappa policies, shared by all replicates."""
     ds_s = scale_outcome(ds)
     seed = derive_seed(cfg.seed, _FULLFIT_STREAM)
-    q = fit_outcome(ds_s, cfg.outcome_library, cfg.folds, seed)
-    g = fit_propensity(ds_s, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
-    blip = fit_blip(ds_s, q, g, cfg.blip_library, cfg.folds, seed)
+    _, _, blip, _ = fit_nuisance(ds_s, cfg, seed, seed)
     return {k: build_policy(blip, ds_s, k) for k in kappas}
 
 
 def _fixed_rule_replicate(ds_b: Dataset, kappas, policies, cfg: PipelineConfig) -> MsmFit:
     """Re-estimate values on a resample while holding the rules fixed."""
     ds_s = scale_outcome(ds_b)
-    q = fit_outcome(ds_s, cfg.outcome_library, cfg.folds, cfg.seed)
-    g = fit_propensity(ds_s, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
-    values = [tmle_value(ds_b, policies[k], q=q, g=g, config=cfg).psi for k in kappas]
-    psi_none = tmle_value(ds_b, StaticPolicy(0), q=q, g=g, config=cfg).psi
-    psi_all = tmle_value(ds_b, StaticPolicy(1), q=q, g=g, config=cfg).psi
-    return fit_msm(list(zip(kappas, values)), chord=(psi_none, psi_all))
+    q, g, _, _ = fit_nuisance(ds_s, cfg, cfg.seed)
+    nuis = CvNuisance.one_fold(ds_s, q, g, cfg)
+
+    def psi(policy) -> float:
+        return value_from_assignment(nuis, assignment_for(nuis, policy)).psi
+
+    values = [psi(policies[k]) for k in kappas]
+    return fit_msm(list(zip(kappas, values)), chord=(psi(StaticPolicy(0)), psi(StaticPolicy(1))))

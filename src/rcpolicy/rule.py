@@ -242,8 +242,8 @@ class RulePolicy:
 class StaticPolicy:
     """Treat-all (arm=1) or treat-none (arm=0), independent of covariates.
 
-    Exposes the same surface as RulePolicy so value estimation runs both
-    through one code path. tau is 0 and kappa is the arm itself, which
+    Exposes RulePolicy's kappa, tau and assign so value estimation runs
+    both through one code path. tau is 0 and kappa is the arm itself, which
     makes the influence-function penalty term vanish identically.
     """
 
@@ -261,15 +261,8 @@ class StaticPolicy:
     def tau(self) -> float:
         return 0.0
 
-    @property
-    def kind(self) -> str:
-        return "deterministic"
-
     def assign(self, w: np.ndarray) -> np.ndarray:
         return np.full(np.atleast_2d(w).shape[0], float(self.arm))
-
-    def assign_from_blips(self, blips: np.ndarray) -> np.ndarray:
-        return np.full(len(blips), float(self.arm))
 
 
 def build_policy(model, ds, kappa: float) -> RulePolicy:

@@ -6,13 +6,14 @@ outcome regression is fluctuated along a least-favorable submodel so the
 efficient-influence-function score is (numerically) solved, then the
 value is the plug-in mean of the fluctuated regression under the rule.
 
-Two routes share one core:
+Nuisances are fit by `fit_nuisance`, and every value is computed by
+`value_from_assignment` from a `CvNuisance` and a resolved assignment:
 
-  tmle_value      single-sample TMLE with supplied nuisances and the
-                  rule taken as given.
   cv_tmle_value   cross-validated TMLE: nuisances and the rule are fit
                   per fold on training data, applied to the held-out
                   fold, and one pooled fluctuation targets the estimate.
+  tmle_value      single-sample TMLE: the supplied q and g form a
+                  one-fold nuisance, and the rule is taken as given.
 
 For budget-constrained rules the influence function carries an extra
 tau * (d(W) - kappa) term reflecting that the threshold itself was
@@ -60,8 +61,8 @@ FLUCT_TOL = 1e-10  # normalized score target for the fluctuation
 FLUCT_MAX_ITER = 100
 SCORE_WARN = 1e-8  # post-fluctuation score above this is flagged
 
-_Q_STREAM = 11
-_BLIP_STREAM = 12
+Q_STREAM = 11
+BLIP_STREAM = 12
 _FOLDS_STREAM = 13
 
 
@@ -128,7 +129,6 @@ class ValueEstimate:
     pct_stochastic: float
     epsilon: float
     score: float
-    cv: bool
     fold_taus: tuple[float, ...]
     eif: np.ndarray = field(repr=False)
     components: dict = field(repr=False)
@@ -184,11 +184,13 @@ class CvNuisance:
     training rows, the distribution the per-fold threshold is solved on,
     sorted ascending (every row has mass 1/n, so order changes no
     solution). val_blip and train_blips are empty when the nuisance was
-    fit without blips; such a nuisance serves policy objects only.
+    fit without blips; such a nuisance serves policy objects only. A
+    one-fold nuisance (`one_fold`) does no cross-fitting: it holds
+    supplied q and g predicted on every row. The outcome's original
+    bounds are ds.y_scale.
     """
 
     ds: Dataset  # scaled copy of the analysis data
-    scale: tuple[float, float]
     fold_id: np.ndarray
     q0: np.ndarray
     q1: np.ndarray
@@ -205,6 +207,29 @@ class CvNuisance:
     @property
     def folds(self) -> int:
         return len(np.unique(self.fold_id))
+
+    @classmethod
+    def one_fold(cls, ds: Dataset, q: OutcomeModel, g: PropensityModel,
+                 config: PipelineConfig | None = None) -> "CvNuisance":
+        """q and g predicted on every row of ds, as one fold without blips."""
+        ds = scale_outcome(ds)
+        return cls(ds=ds, fold_id=np.zeros(ds.n, dtype=int), q0=q.predict(0, ds.w),
+                   q1=q.predict(1, ds.w), g1=g.predict(ds.w), val_blip=np.empty(0),
+                   train_blips=(), config=config or PipelineConfig())
+
+
+def fit_nuisance(ds: Dataset, cfg: PipelineConfig, q_seed: int, blip_seed: int | None = None):
+    """Outcome, propensity and (given blip_seed) blip fits on scaled data.
+
+    Returns (q, g, blip or None, warnings), the warnings of the three
+    fits in that order.
+    """
+    q = fit_outcome(ds, cfg.outcome_library, cfg.folds, q_seed)
+    g = fit_propensity(ds, cfg.g_known, cfg.g_estimate, cfg.g_min)
+    if blip_seed is None:
+        return q, g, None, (*q.warnings, *g.warnings)
+    blip = fit_blip(ds, q, g, cfg.blip_library, cfg.folds, blip_seed)
+    return q, g, blip, (*q.warnings, *g.warnings, *blip.warnings)
 
 
 def fit_folds(
@@ -225,7 +250,6 @@ def fit_folds(
     unchanged, since each blip fit draws from its own seed stream.
     """
     cfg = config or PipelineConfig()
-    raw_bounds = ds.y_bounds if ds.y_scale is None else ds.y_scale
     ds = scale_outcome(ds)
     if fold_id is None:
         fold_id = stratified_folds(ds.a, cfg.folds, derive_seed(cfg.seed, _FOLDS_STREAM))
@@ -251,27 +275,22 @@ def fit_folds(
             raise ValueError(
                 f"fold {v}: training split lost a treatment arm; use fewer folds"
             )
-        q = fit_outcome(train_ds, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, _Q_STREAM, v))
-        g = fit_propensity(train_ds, cfg.g_known, cfg.estimate_propensity, cfg.g_min)
+        blip_seed = derive_seed(cfg.seed, BLIP_STREAM, v) if blips else None
+        q, g, blip, fit_warnings = fit_nuisance(
+            train_ds, cfg, derive_seed(cfg.seed, Q_STREAM, v), blip_seed
+        )
         q0[val] = q.predict(0, ds.w[val])
         q1[val] = q.predict(1, ds.w[val])
         g1[val] = g.predict(ds.w[val])
-        fold_warnings = [*q.warnings, *g.warnings]
-        if blips:
-            blip = fit_blip(
-                train_ds, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, _BLIP_STREAM, v)
-            )
+        if blip is not None:
             val_blip[val] = blip.predict(ds.w[val])
             # stable, so the stored order is the one solve_threshold's own
             # stable argsort gives (signed zeros included), now found in O(n)
             train_blips.append(np.sort(blip.predict(train_ds.w), kind="stable"))
-            fold_warnings.extend(blip.warnings)
-        for w_msg in fold_warnings:
-            warnings.append(f"fold {v}: {w_msg}")
+        warnings.extend(f"fold {v}: {w_msg}" for w_msg in fit_warnings)
 
     return CvNuisance(
         ds=ds,
-        scale=raw_bounds,
         fold_id=fold_id,
         q0=q0,
         q1=q1,
@@ -306,19 +325,6 @@ class Assignment:
     pct_stochastic: float
 
 
-def _policy_assignment(policy, w: np.ndarray, folds: int) -> Assignment:
-    """A static arm or an already-fit rule applied as-is to every row of w."""
-    kappa = float(policy.kappa)
-    if isinstance(policy, StaticPolicy):
-        label = "treat_all" if policy.arm == 1 else "treat_none"
-    else:
-        label = f"rule(kappa={kappa:g})"
-    gtilde1 = np.asarray(policy.assign(w), dtype=float)
-    tau = float(policy.tau)
-    return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau), (tau,) * folds,
-                      *treated_fractions(gtilde1))
-
-
 def assignment_for(nuis: CvNuisance, target) -> Assignment:
     """Resolve a target (budget kappa or policy object) to row assignments.
 
@@ -328,7 +334,15 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
     to every row; its threshold enters the penalty unchanged.
     """
     if not isinstance(target, (int, float, np.floating)):
-        return _policy_assignment(target, nuis.ds.w, nuis.folds)
+        kappa = float(target.kappa)
+        if isinstance(target, StaticPolicy):
+            label = "treat_all" if target.arm == 1 else "treat_none"
+        else:
+            label = f"rule(kappa={kappa:g})"
+        gtilde1 = np.asarray(target.assign(nuis.ds.w), dtype=float)
+        tau = float(target.tau)
+        return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau), (tau,) * nuis.folds,
+                          *treated_fractions(gtilde1))
     if not nuis.train_blips:
         raise ValueError("a budget target needs a nuisance fit with blips")
     kappa = float(target)
@@ -349,21 +363,12 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
 # the estimation core
 
 
-def _estimate_core(
-    *,
-    y: np.ndarray,
-    a: np.ndarray,
-    q0: np.ndarray,
-    q1: np.ndarray,
-    g1: np.ndarray,
-    asg: Assignment,
-    scale: tuple[float, float],
-    z: float,
-    cv: bool,
-    warnings: tuple[str, ...],
-) -> ValueEstimate:
+def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
+    """Pooled fluctuation and plug-in value for a resolved assignment."""
+    y, a, q0, q1, g1 = nuis.ds.y, nuis.ds.a, nuis.q0, nuis.q1, nuis.g1
     n = len(y)
-    lo, hi = scale
+    lo, hi = nuis.ds.y_scale
+    z = nuis.config.z_value
     s = hi - lo
     gt1 = asg.gtilde1
     h1 = gt1 / g1
@@ -372,8 +377,7 @@ def _estimate_core(
     q_obs = np.where(a == 1, q1, q0)
 
     eps, score, fluct_warn = _fluctuate(logit(q_obs), h_obs, y)
-    if fluct_warn is not None:
-        warnings = (*warnings, fluct_warn)
+    warnings = nuis.warnings if fluct_warn is None else (*nuis.warnings, fluct_warn)
     q1_star = expit(logit(q1) + eps)
     q0_star = expit(logit(q0) + eps)
     q_obs_star = np.where(a == 1, q1_star, q0_star)
@@ -403,7 +407,6 @@ def _estimate_core(
         pct_stochastic=asg.pct_stochastic,
         epsilon=eps,
         score=score,
-        cv=cv,
         fold_taus=fold_taus,
         eif=eif,
         components={
@@ -413,22 +416,6 @@ def _estimate_core(
             "penalty": penalty,
         },
         warnings=warnings,
-    )
-
-
-def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
-    """Pooled fluctuation and plug-in value for a resolved assignment."""
-    return _estimate_core(
-        y=nuis.ds.y,
-        a=nuis.ds.a,
-        q0=nuis.q0,
-        q1=nuis.q1,
-        g1=nuis.g1,
-        asg=asg,
-        scale=nuis.scale,
-        z=nuis.config.z_value,
-        cv=True,
-        warnings=nuis.warnings,
     )
 
 
@@ -464,25 +451,12 @@ def tmle_value(
     """Single-sample TMLE of a given policy's value (no cross-fitting).
 
     q and g are the outcome and propensity models, for instance
-    full-data refits or oracle nuisances in simulations. The policy is
+    full-data refits or oracle nuisances in simulations; their
+    predictions on every row form a one-fold nuisance. The policy is
     taken as given: its threshold is not re-solved here.
     """
-    cfg = config or PipelineConfig()
-    raw_bounds = ds.y_bounds if ds.y_scale is None else ds.y_scale
-    ds = scale_outcome(ds)
-    asg = _policy_assignment(policy, ds.w, 1)
-    return _estimate_core(
-        y=ds.y,
-        a=ds.a,
-        q0=q.predict(0, ds.w),
-        q1=q.predict(1, ds.w),
-        g1=g.predict(ds.w),
-        asg=asg,
-        scale=raw_bounds,
-        z=cfg.z_value,
-        cv=False,
-        warnings=(),
-    )
+    nuis = CvNuisance.one_fold(ds, q, g, config)
+    return value_from_assignment(nuis, assignment_for(nuis, policy))
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def test_09_flat_curve_falsification_and_power():
         ds = generate(constant_blip(0.1, 0.4, seed=seed), 1000)
         cfg = PipelineConfig(seed=seed, **LEAN)
         # point fit on 3 folds, replicates on 2
-        fit = msm_with_bootstrap(ds, grid3, cfg.replace(folds=2), replicates=150,
+        fit = msm_with_bootstrap(ds, grid3, cfg.replace(folds=2, bootstrap_replicates=150),
                                  grid=evaluate_grid(ds, grid3, cfg))
         lo0, hi0 = fit.boot_ci["contrast0"]
         lo1, hi1 = fit.boot_ci["contrast1"]
@@ -230,7 +230,7 @@ def test_09_flat_curve_falsification_and_power():
         seed = 50000 + r
         ds = generate(one_interaction(0.0, 0.3, baseline=0.3, seed=seed), 5000)
         cfg = PipelineConfig(seed=seed, **LEAN)
-        fit = msm_with_bootstrap(ds, grid5, cfg.replace(folds=2), replicates=100,
+        fit = msm_with_bootstrap(ds, grid5, cfg.replace(folds=2, bootstrap_replicates=100),
                                  grid=evaluate_grid(ds, grid5, cfg))
         lo0, hi0 = fit.boot_ci["contrast0"]
         lo1, hi1 = fit.boot_ci["contrast1"]

@@ -124,6 +124,18 @@ def test_simulate_env_seed_invalid(tmp_path, monkeypatch, capsys):
     assert "RC_POLICY_SEED" in capsys.readouterr().err
 
 
+def test_simulate_rejects_bad_json_oracle_grid_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "k.json"
+    cfg.write_text('{"kappa_grid": 5}')
+    out = tmp_path / "f.csv"
+    code = main(["simulate", "--dgp", "adaptr_like", "--n", "20", "--out", str(out),
+                 "--oracle", str(tmp_path / "o.json"), "--config", str(cfg)])
+    assert code == 1
+    assert "--kappa-grid" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_simulate_oracle_matches_library(workdir):
     doc = _load(workdir["oracle"])
     rep = oracle(adaptr_like(seed=5), [round(0.1 * i, 10) for i in range(11)])
@@ -382,8 +394,11 @@ def test_validation_errors_exit_1(workdir, capsys, tmp_path):
     assert "max_levels must be an integer" in capsys.readouterr().err
 
 
+# a negative or NaN epsilon_den would never flag a zero ICER denominator
 @pytest.mark.parametrize("key, value", [("folds", 2.5), ("seed", 1.5),
-                                        ("bootstrap_replicates", 3.5), ("seed", -1)])
+                                        ("bootstrap_replicates", 3.5), ("seed", -1),
+                                        ("epsilon_den", -1), ("epsilon_den", float("nan")),
+                                        ("epsilon_den", float("inf"))])
 def test_config_rejects_non_integer_fields(workdir, tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))

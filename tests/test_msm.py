@@ -3,13 +3,28 @@ import pytest
 
 from rcpolicy import (
     PipelineConfig,
+    StaticPolicy,
+    build_policy,
     constant_blip,
+    derive_seed,
     evaluate_grid,
+    fit_blip,
     fit_msm,
+    fit_outcome,
+    fit_propensity,
     generate,
     msm_with_bootstrap,
+    scale_outcome,
+    tmle_value,
 )
-from rcpolicy.msm import BOOT_KEYS, MAX_REDRAWS, _resample
+from rcpolicy.msm import (
+    _FULLFIT_STREAM,
+    _PIPELINE_STREAM,
+    _RESAMPLE_STREAM,
+    BOOT_KEYS,
+    MAX_REDRAWS,
+    _resample,
+)
 
 REFERENCE_KAPPAS = tuple(round(k / 10, 1) for k in range(11))
 REFERENCE_VALUES = (0.6655, 0.6860, 0.6910, 0.7118, 0.7067, 0.7193,
@@ -110,8 +125,8 @@ def boot_ds():
 
 
 def test_bootstrap_deterministic_and_keyed(boot_ds):
-    a = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT, replicates=5)
-    b = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT, replicates=5)
+    a = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT.replace(bootstrap_replicates=5))
+    b = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT.replace(bootstrap_replicates=5))
     assert set(a.boot_ci) == set(BOOT_KEYS)
     assert a.boot_ci == b.boot_ci
     assert a.beta0 == b.beta0 and a.beta1 == b.beta1
@@ -123,14 +138,14 @@ def test_bootstrap_deterministic_and_keyed(boot_ds):
 
 
 def test_bootstrap_single_replicate_degenerate(boot_ds):
-    fit = msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT, replicates=1)
+    fit = msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT.replace(bootstrap_replicates=1))
     for key in BOOT_KEYS:
         lo, hi = fit.boot_ci[key]
         assert lo == hi == float(fit.boot_draws[key][0])
 
 
 def test_bootstrap_quantiles_nest(boot_ds):
-    fit = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT, replicates=30)
+    fit = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT.replace(bootstrap_replicates=30))
     for key in BOOT_KEYS:
         draws = fit.boot_draws[key]
         lo80, hi80 = np.quantile(draws, [0.10, 0.90])
@@ -139,9 +154,9 @@ def test_bootstrap_quantiles_nest(boot_ds):
 
 
 def test_bootstrap_modes_differ(boot_ds):
-    fixed = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT, replicates=4)
+    fixed = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT.replace(bootstrap_replicates=4))
     refit = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0),
-                               LEAN_BOOT.replace(bootstrap_mode="refit"), replicates=4)
+                               LEAN_BOOT.replace(bootstrap_mode="refit", bootstrap_replicates=4))
     assert fixed.beta0 == refit.beta0  # point fit shared
     assert not np.array_equal(fixed.boot_draws["beta1"], refit.boot_draws["beta1"])
     assert refit.boot_mode == "refit"
@@ -149,15 +164,44 @@ def test_bootstrap_modes_differ(boot_ds):
 
 def test_bootstrap_reuses_supplied_grid(boot_ds):
     grid = evaluate_grid(boot_ds, (0.0, 1.0), LEAN_BOOT)
-    fit = msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT, replicates=2, grid=grid)
+    two = LEAN_BOOT.replace(bootstrap_replicates=2)
+    fit = msm_with_bootstrap(boot_ds, (0.0, 1.0), two, grid=grid)
     assert fit.values == tuple(e.psi for e in grid.estimates)
     with pytest.raises(ValueError):
-        msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT, replicates=2, grid=grid)
+        msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), two, grid=grid)
 
 
 def test_bootstrap_rejects_zero_replicates(boot_ds):
-    with pytest.raises(ValueError):
-        msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT, replicates=0)
+    with pytest.raises(ValueError, match="bootstrap_replicates"):
+        msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT.replace(bootstrap_replicates=0))
+
+
+@pytest.mark.parametrize("g_known", [0.5, None], ids=["known_g", "estimated_g"])
+def test_fixed_rule_draws_match_per_policy_tmle_loop(boot_ds, g_known):
+    """Fixed-rule draws equal, bit for bit, a plain loop: resample, fit q
+    and g on the replicate, then one tmle_value per policy and static."""
+    kappas = (0.0, 0.5, 1.0)
+    cfg = LEAN_BOOT.replace(g_known=g_known, bootstrap_replicates=3, seed=11)
+    fit = msm_with_bootstrap(boot_ds, kappas, cfg)
+
+    ds_s = scale_outcome(boot_ds)
+    seed = derive_seed(cfg.seed, _FULLFIT_STREAM)
+    q = fit_outcome(ds_s, cfg.outcome_library, cfg.folds, seed)
+    g = fit_propensity(ds_s, cfg.g_known, cfg.g_estimate, cfg.g_min)
+    blip = fit_blip(ds_s, q, g, cfg.blip_library, cfg.folds, seed)
+    policies = [build_policy(blip, ds_s, k) for k in kappas]
+    for r in range(cfg.bootstrap_replicates):
+        rng = np.random.default_rng(derive_seed(cfg.seed, _RESAMPLE_STREAM, r))
+        ds_b, _ = _resample(boot_ds, rng)
+        rep_cfg = cfg.replace(seed=derive_seed(cfg.seed, _PIPELINE_STREAM, r))
+        ds_bs = scale_outcome(ds_b)
+        q_b = fit_outcome(ds_bs, cfg.outcome_library, cfg.folds, rep_cfg.seed)
+        g_b = fit_propensity(ds_bs, cfg.g_known, cfg.g_estimate, cfg.g_min)
+        psis = [tmle_value(ds_b, pol, q_b, g_b, rep_cfg).psi
+                for pol in (*policies, StaticPolicy(0), StaticPolicy(1))]
+        line = fit_msm(zip(kappas, psis[:-2]), chord=tuple(psis[-2:]))
+        expected = (line.beta0, line.beta1, *line.contrast)
+        assert tuple(float(fit.boot_draws[key][r]) for key in BOOT_KEYS) == expected
 
 
 def test_resample_single_arm_exhaustion(boot_ds):
@@ -182,8 +226,8 @@ def test_bootstrap_contrast_covers_zero_on_flat_design():
     for r in range(outer):
         ds = generate(spec.with_seed(400 + r), 400)
         fit = msm_with_bootstrap(ds, (0.0, 0.5, 1.0),
-                                 LEAN_BOOT.replace(seed=r, bootstrap_mode="refit"),
-                                 replicates=40)
+                                 LEAN_BOOT.replace(seed=r, bootstrap_mode="refit",
+                                                   bootstrap_replicates=40))
         lo0, hi0 = fit.boot_ci["contrast0"]
         lo1, hi1 = fit.boot_ci["contrast1"]
         cover0 += lo0 <= 0.0 <= hi0

@@ -243,8 +243,9 @@ def test_fit_without_blips_keeps_q_and_g(adaptr_2k, lean_config):
     for cfg in (lean_config, lean_config.replace(g_known=None)):
         full = fit_folds(adaptr_2k, cfg, fold_id=fold_id)
         lean = fit_folds(adaptr_2k, cfg, fold_id=fold_id, blips=False)
-        for key in ("q0", "q1", "g1", "fold_id", "scale"):
+        for key in ("q0", "q1", "g1", "fold_id"):
             assert np.array_equal(getattr(lean, key), getattr(full, key)), key
+        assert lean.ds.y_scale == full.ds.y_scale
         assert lean.folds == full.folds == 3
         assert lean.train_blips == () and lean.val_blip.size == 0
         assert all(np.all(np.diff(tb) >= 0) for tb in full.train_blips)
