@@ -335,7 +335,7 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> None:
     n = require_int("n", _required(args.n, "n"))
     out = _required(args.out or None, "out")  # an empty path counts as unset
     with_cost = not bool(args.no_cost)
-    grid = parse_kappa_grid(str(args.kappa_grid)) if args.oracle else None
+    grid = parse_kappa_grid(str(args.kappa_grid))
     spec = _DGP_FACTORIES[kind](seed=cfg.seed, with_cost=with_cost)
     if args.unit_cost is not None:
         spec = replace(spec, unit_cost=float(args.unit_cost))
@@ -383,6 +383,8 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
     kappas, single = _parse_kappa_arg(str(_required(args.kappa, "kappa")))
     ds, context = _load_dataset(args)
     ds_s = scale_outcome(ds)
+    lo, hi = ds_s.y_scale
+    s = hi - lo  # blips and thresholds are fit on [0, 1]; report outcome units
     q_seed, blip_seed = derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
     _, _, blip, fit_warnings = fit_nuisance(ds_s, cfg, q_seed, blip_seed)
     blips = np.asarray(blip.predict(ds_s.w), dtype=float)
@@ -396,8 +398,8 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
         policies.append(pol)
         blocks.append({
             "kappa": sol.kappa,
-            "tau": sol.tau,
-            "eta": sol.eta,
+            "tau": s * sol.tau,
+            "eta": s * sol.eta,
             "s_at_tau": sol.s_at_tau,
             "tie_mass": sol.tie_mass,
             "tie_prob": sol.tie_prob,
@@ -416,9 +418,9 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
     if args.save_model:
         _emit_json({
             "covariate_names": list(ds.covariate_names),
-            "y_scale": list(ds_s.y_scale) if ds_s.y_scale else None,
+            "y_scale": [lo, hi],
             "blip": blip.to_dict(),
-            "blip_atoms": [{"blip_value": v, "count": c} for v, c in blip_atoms(blips)],
+            "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(blips)],
             "rules": blocks,
             "audit": audit,
         }, args.save_model)
@@ -426,8 +428,9 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
     if args.assignments:
         header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]
         assign_cols = [pol.assign_from_blips(blips) for pol in policies]
+        blip_units = s * blips
         rows = (
-            [i, blips[i]] + [col[i] for col in assign_cols]
+            [i, blip_units[i]] + [col[i] for col in assign_cols]
             for i in range(ds.n)
         )
         _emit_csv(header, rows, args.assignments, meta={"audit": audit})

@@ -12,9 +12,8 @@ import hashlib
 import json
 import math
 import numbers
+import statistics
 from dataclasses import dataclass
-
-from scipy.stats import norm
 
 # Phi^{-1}(0.975) to the precision used for all reported 95% intervals.
 Z_975 = 1.959964
@@ -72,7 +71,7 @@ class PipelineConfig:
     def z_value(self) -> float:
         if self.ci_level == 0.95:
             return Z_975
-        return float(norm.ppf(0.5 + self.ci_level / 2.0))
+        return statistics.NormalDist().inv_cdf(0.5 + self.ci_level / 2.0)
 
     def replace(self, **kw) -> "PipelineConfig":
         return dataclasses.replace(self, **kw)

@@ -78,7 +78,6 @@ class IcerCurve:
 
 def _constant_cost_estimate(value: float, n: int, label: str) -> ValueEstimate:
     # constant observed costs make every policy's cost value that constant
-    zeros = np.zeros(n)
     return ValueEstimate(
         label=label,
         psi=float(value),
@@ -92,8 +91,7 @@ def _constant_cost_estimate(value: float, n: int, label: str) -> ValueEstimate:
         epsilon=0.0,
         score=0.0,
         fold_taus=(),
-        eif=zeros,
-        components={"residual": zeros, "plugin": zeros, "centering": zeros, "penalty": zeros},
+        eif=np.zeros(n),
         warnings=("constant cost column: cost value is degenerate",),
     )
 

@@ -19,11 +19,11 @@ intercept-only candidates and the reason lands in the model's warnings.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import glm
 from .data import Dataset
@@ -470,7 +470,7 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
             p = 1.0 if rss0 <= 0.0 else 0.0
         else:
             lr = ds.n * np.log(rss0 / rss1)
-            p = float(chi2.sf(max(lr, 0.0), df=1))
+            p = math.erfc(math.sqrt(max(lr, 0.0) / 2.0))  # chi-square(1) tail
         levels: tuple[SubgroupLevel, ...] = ()
         if uniq.size <= max_levels:
             lv = []

@@ -17,7 +17,9 @@ Nuisances are fit by `fit_nuisance`, and every value is computed by
 
 For budget-constrained rules the influence function carries an extra
 tau * (d(W) - kappa) term reflecting that the threshold itself was
-chosen to spend the budget exactly.
+chosen to spend the budget exactly. An estimate keeps only the summed
+row-wise influence values (`eif`); the penalty term can be recomputed
+from its `Assignment`.
 
 All reported numbers (value, CI, influence values, thresholds) are on
 the outcome's original scale; internally everything runs on [0, 1].
@@ -113,9 +115,10 @@ def _fluctuate(offset: np.ndarray, h: np.ndarray, y: np.ndarray):
 class ValueEstimate:
     """Policy value with influence-function inference, original units.
 
-    components holds the influence function's four addends, satisfying
-    eif = residual + plugin - centering - penalty row by row. score is
-    the normalized fluctuation score on the [0, 1] outcome scale.
+    eif holds the row-wise influence values, residual + plug-in - psi
+    minus the budget penalty (s * tau_row * (gtilde1 - kappa) for an
+    outcome range s). score is the normalized fluctuation score on the
+    [0, 1] outcome scale.
     """
 
     label: str
@@ -131,7 +134,6 @@ class ValueEstimate:
     score: float
     fold_taus: tuple[float, ...]
     eif: np.ndarray = field(repr=False)
-    components: dict = field(repr=False)
     warnings: tuple[str, ...] = ()
 
 
@@ -389,9 +391,8 @@ def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
     psi = lo + s * psi_scaled
     residual = s * h_obs * (y - q_obs_star)
     plugin = lo + s * plugin_row
-    centering = np.full(n, psi)
     penalty = s * pen_row
-    eif = residual + plugin - centering - penalty
+    eif = residual + plugin - psi - penalty
     se = float(np.sqrt(np.mean(eif * eif) / n))
 
     fold_taus = tuple(s * t for t in asg.fold_taus)
@@ -409,12 +410,6 @@ def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
         score=score,
         fold_taus=fold_taus,
         eif=eif,
-        components={
-            "residual": residual,
-            "plugin": plugin,
-            "centering": centering,
-            "penalty": penalty,
-        },
         warnings=warnings,
     )
 

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +138,15 @@ def test_simulate_rejects_bad_json_oracle_grid_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_simulate_rejects_bad_kappa_grid_without_oracle(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code = main(["simulate", "--dgp", "null_effect", "--n", "20", "--out", str(out),
+                 "--kappa-grid", "0:1:0.3"])
+    assert code == 1
+    assert "--kappa-grid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_oracle_matches_library(workdir):
     doc = _load(workdir["oracle"])
     rep = oracle(adaptr_like(seed=5), [round(0.1 * i, 10) for i in range(11)])
@@ -204,6 +215,34 @@ def test_fit_rule_covariate_subset(workdir, tmp_path):
                  "--outcome-library", "mean", "--blip-library", "glm"]) == 0
     doc = _load(out)
     assert doc["covariate_names"] == ["wage_work", "walk_5km"]
+
+
+def test_fit_rule_reports_thresholds_in_outcome_units(tmp_path, capsys):
+    """y on [2, 6] and the same rows as (y - 2) / 4 on [0, 1] fit one rule;
+    its thresholds and blips read 4x apart."""
+    rng = np.random.default_rng(3)
+    x = rng.random(300)
+    arm = rng.integers(0, 2, 300)
+    y = 2.0 + 4.0 * (0.2 + 0.5 * arm * x + 0.2 * rng.random(300))
+    docs = []
+    for name, ys, bounds in (("wide", y, "2:6"), ("unit", (y - 2.0) / 4.0, "0:1")):
+        src = tmp_path / f"{name}.csv"
+        rows = ["x1,a,y"] + [f"{float(x[i])!r},{arm[i]},{float(ys[i])!r}" for i in range(300)]
+        src.write_text("\n".join(rows) + "\n")
+        assign = tmp_path / f"{name}_assign.csv"
+        assert main(["fit-rule", "--data", str(src), "--kappa", "0.3",
+                     "--outcome-kind", "bounded_real", "--y-bounds", bounds,
+                     "--assignments", str(assign), "--folds", "2", "--g-known", "0.5",
+                     "--outcome-library", "mean,glm", "--blip-library", "glm"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["blips"] = [float(line.split(",")[1]) for line in assign.read_text().splitlines()[1:]]
+        docs.append(doc)
+    wide, unit = docs
+    assert unit["tau"] > 0
+    assert wide["tau"] == 4.0 * unit["tau"]
+    assert wide["eta"] == 4.0 * unit["eta"]
+    assert wide["blips"] == [4.0 * b for b in unit["blips"]]
+    assert wide["pct_treated"] == unit["pct_treated"]
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -405,6 +444,38 @@ def test_config_rejects_non_integer_fields(workdir, tmp_path, capsys, key, value
     assert main(["evaluate", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5",
                  "--config", str(cfg)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.99, 0.999])
+def test_z_value_matches_normal_quantile(level):
+    from scipy.stats import norm
+
+    ref = norm.ppf(0.5 + level / 2.0)
+    assert PipelineConfig(ci_level=level).z_value == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """numpy and the standard library are the only runtime dependencies."""
+    code = f"""
+import sys
+import rcpolicy, rcpolicy.cli
+csv = {str(tmp_path / "d.csv")!r}
+assert rcpolicy.cli.main(["simulate", "--dgp", "one_interaction", "--n", "200", "--out", csv,
+                          "--oracle", csv + ".oracle.json"]) == 0
+assert rcpolicy.cli.main(["subgroups", "--data", csv, "--out", csv + ".sub.json"]) == 0
+assert rcpolicy.cli.main(["evaluate", "--data", csv, "--kappa-grid", "0:1:0.5",
+                          "--ci-level", "0.9", "--folds", "2", "--g-known", "0.5",
+                          "--outcome-library", "mean", "--blip-library", "mean",
+                          "--out", csv + ".eval.json"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RC_POLICY_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_and_help_exit_0(capsys):

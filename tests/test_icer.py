@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rcpolicy import Dataset, PipelineConfig, icer_curve, ratio
+from rcpolicy import Dataset, PipelineConfig, StaticPolicy, fit_folds, icer_curve, ratio
+from rcpolicy.tmle import assignment_for
 
 LEAN = PipelineConfig(folds=5, g_known=0.5,
                       outcome_library=("mean", "glm"), blip_library=("mean", "glm"))
@@ -93,11 +94,18 @@ def test_icer_constant_cost_degenerates(adaptr_2k):
 def test_icer_influence_mean_tracks_penalties(adaptr_20k):
     """The ratio influence values center up to the budget penalty residue."""
     est = icer_curve(adaptr_20k, [0.5], "treat_none", LEAN).estimates[0]
-    c = est.components
-    pen_num = c["cost_policy"].components["penalty"].mean() \
-        - c["cost_comparator"].components["penalty"].mean()
-    pen_den = 100.0 * (c["outcome_policy"].components["penalty"].mean()
-                       - c["outcome_comparator"].components["penalty"].mean())
+    # icer_curve scores the outcome side's assignments on both sides; each
+    # side's penalty carries its own outcome range
+    nuis = fit_folds(adaptr_20k, LEAN)
+    pol, comp = assignment_for(nuis, 0.5), assignment_for(nuis, StaticPolicy(0))
+
+    def mean_penalty(asg, y_scale):
+        lo, hi = y_scale
+        return ((hi - lo) * asg.tau_row * (asg.gtilde1 - asg.kappa)).mean()
+
+    cost_scale = (adaptr_20k.c.min(), adaptr_20k.c.max())
+    pen_num = mean_penalty(pol, cost_scale) - mean_penalty(comp, cost_scale)
+    pen_den = 100.0 * (mean_penalty(pol, nuis.ds.y_scale) - mean_penalty(comp, nuis.ds.y_scale))
     bound = (abs(pen_num) + abs(est.ratio) * abs(pen_den)) / abs(est.denominator)
     assert abs(est.ic.mean()) <= bound + 1e-8
 

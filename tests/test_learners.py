@@ -319,6 +319,29 @@ def test_subgroup_scan_levels_report_arm_differences():
     assert by_level[1.0] - by_level[0.0] > 0.15  # true gap is 0.3
 
 
+def test_subgroup_scan_p_values_match_chi2_reference():
+    from scipy.stats import chi2
+
+    from rcpolicy.glm import weighted_lstsq
+
+    def rss(X, y):
+        resid = y - X @ weighted_lstsq(X, y)
+        return float(resid @ resid)
+
+    checked = 0
+    for seed, interaction in ((31, 0.3), (32, 0.05), (33, 0.0)):
+        ds = generate(one_interaction(base_blip=0.05, interaction=interaction, seed=seed), 3000)
+        a, ones = ds.a.astype(float), np.ones(ds.n)
+        for j, res in enumerate(subgroup_scan(ds)):
+            x = ds.w[:, j]
+            lr = ds.n * np.log(rss(np.column_stack([ones, a, x]), ds.y)
+                               / rss(np.column_stack([ones, a, x, a * x]), ds.y))
+            ref = chi2.sf(max(lr, 0.0), 1)
+            assert res.p_value == pytest.approx(ref, rel=1e-12, abs=0.0), (seed, res.covariate)
+            checked += 1
+    assert checked >= 6
+
+
 def test_subgroup_scan_validation(adaptr_2k):
     tiny = adaptr_2k.subset(np.arange(4))
     with pytest.raises(ValueError):
