@@ -16,10 +16,8 @@ from .config import PipelineConfig, config_hash
 from .data import (
     ColumnSchema,
     Dataset,
-    default_schema,
     ingest_csv,
     scale_outcome,
-    unscale,
     write_csv,
 )
 from .dgp import (
@@ -104,7 +102,6 @@ __all__ = [
     "continuous_blip",
     "contrast_estimates",
     "cv_tmle_value",
-    "default_schema",
     "derive_seed",
     "evaluate_grid",
     "fit_blip",
@@ -127,6 +124,5 @@ __all__ = [
     "stratified_folds",
     "subgroup_scan",
     "tmle_value",
-    "unscale",
     "write_csv",
 ]

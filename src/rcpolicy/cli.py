@@ -38,8 +38,8 @@ from .dgp import (
 from .icer import icer_curve, ratio
 from .learners import subgroup_scan
 from .msm import msm_with_bootstrap
-from .rule import blip_atoms, build_policy
-from .tmle import BLIP_STREAM, Q_STREAM, contrast_estimates, derive_seed, evaluate_grid, fit_nuisance
+from .rule import blip_atoms
+from .tmle import contrast_estimates, evaluate_grid, fit_full_rules
 
 __all__ = ["main", "build_parser", "CliError"]
 
@@ -385,17 +385,12 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
     ds_s = scale_outcome(ds)
     lo, hi = ds_s.y_scale
     s = hi - lo  # blips and thresholds are fit on [0, 1]; report outcome units
-    q_seed, blip_seed = derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
-    _, _, blip, fit_warnings = fit_nuisance(ds_s, cfg, q_seed, blip_seed)
+    blip, policies, warnings = fit_full_rules(ds_s, kappas, cfg)
     blips = np.asarray(blip.predict(ds_s.w), dtype=float)
-    warnings = list(dict.fromkeys(fit_warnings))
 
     blocks = []
-    policies = []
-    for k in kappas:
-        pol = build_policy(blip, ds_s, k)
+    for pol in policies:
         sol = pol.threshold
-        policies.append(pol)
         blocks.append({
             "kappa": sol.kappa,
             "tau": s * sol.tau,
@@ -410,9 +405,9 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
     context["kappa"] = kappas
     audit = _audit(cfg, context)
     if single:
-        payload = {**blocks[0], "warnings": warnings, "audit": audit}
+        payload = {**blocks[0], "warnings": list(warnings), "audit": audit}
     else:
-        payload = {"rules": blocks, "warnings": warnings, "audit": audit}
+        payload = {"rules": blocks, "warnings": list(warnings), "audit": audit}
     _emit_json(payload, args.out)
 
     if args.save_model:
@@ -504,6 +499,7 @@ def _cmd_msm(args, cfg: PipelineConfig) -> None:
         "kappas": list(fit.kappas),
         "values": list(fit.values),
         "plot_rows": plot_rows,
+        "warnings": list(fit.warnings),
         "audit": _audit(cfg, context),
     }
     _emit_json(payload, args.out)
@@ -542,6 +538,7 @@ def _cmd_icer(args, cfg: PipelineConfig) -> None:
         "rows": rows,
         "plane": plane,
         "n": ds.n,
+        "warnings": list(curve.warnings),
         "audit": _audit(cfg, context),
     }
     _emit_json(payload, args.out)

@@ -3,7 +3,8 @@
 A Dataset holds covariates W, a binary treatment A, an outcome Y bounded
 to a known interval, and an optional nonnegative cost per observation.
 Outcomes are analyzed internally on the [0, 1] scale; `scale_outcome`
-produces the rescaled copy and `unscale` maps estimates back.
+produces the rescaled copy and records the original bounds in
+`Dataset.y_scale`, from which estimates are mapped back.
 
 CSV text uses shortest exact float representations (round-trip safe at
 up to 17 significant digits), so write -> ingest -> write is
@@ -21,7 +22,6 @@ __all__ = [
     "Dataset",
     "ingest_csv",
     "scale_outcome",
-    "unscale",
     "write_csv",
 ]
 
@@ -134,7 +134,10 @@ def ingest_csv(path, schema: ColumnSchema) -> Dataset:
     """Read and validate a CSV into a Dataset.
 
     Rejects missing or non-numeric cells (naming the column), non-binary
-    treatment codes, single-arm data, and out-of-bounds outcomes.
+    treatment codes, single-arm data, and out-of-bounds outcomes. Each
+    named column has one role: a column used as two of treatment,
+    outcome, cost and covariate, a covariate listed twice, and a header
+    that repeats a name the schema uses are errors naming the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -147,12 +150,19 @@ def ingest_csv(path, schema: ColumnSchema) -> Dataset:
         raise ValueError(f"{path}: no data rows")
 
     col_idx = {name: j for j, name in enumerate(header)}
-    needed = [schema.treatment, schema.outcome, *schema.covariates]
-    if schema.cost is not None:
-        needed.append(schema.cost)
-    for name in needed:
+    roles = {}
+    for role, name in (("treatment", schema.treatment), ("outcome", schema.outcome),
+                       ("cost", schema.cost), *(("covariate", c) for c in schema.covariates)):
+        if name is None:
+            continue
+        if name in roles:
+            what = "listed twice" if role == roles[name] else f"used as {roles[name]} and {role}"
+            raise ValueError(f"{path}: column {name!r} {what}")
         if name not in col_idx:
             raise ValueError(f"{path}: missing column {name!r}")
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: header repeats column {name!r}")
+        roles[name] = role
 
     def column(name: str) -> np.ndarray:
         j = col_idx[name]
@@ -230,24 +240,12 @@ def write_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def default_schema(ds: Dataset) -> ColumnSchema:
-    """Schema matching write_csv's column layout."""
-    return ColumnSchema(
-        treatment="a",
-        outcome="y",
-        covariates=ds.covariate_names,
-        cost="c" if ds.c is not None else None,
-        outcome_kind=ds.outcome_kind,
-        y_bounds=None if ds.outcome_kind == "binary" else ds.y_bounds,
-    )
-
-
 def scale_outcome(ds: Dataset) -> Dataset:
     """Affinely map the outcome onto [0, 1], recording the original bounds.
 
     Binary outcomes map through the identity (bounds (0, 1)). Applying the
     transform twice is a no-op. The original bounds land in y_scale so value
-    estimates can be mapped back with `unscale`.
+    estimates can be mapped back as lo + v * (hi - lo).
     """
     if ds.y_scale is not None:
         return ds
@@ -258,11 +256,3 @@ def scale_outcome(ds: Dataset) -> Dataset:
     # guard against float dust outside [0, 1]
     y = np.clip(y, 0.0, 1.0)
     return replace(ds, y=y, y_bounds=(0.0, 1.0), y_scale=(lo, hi))
-
-
-def unscale(value: float, scale: tuple[float, float] | None) -> float:
-    """Map a [0, 1]-scale outcome quantity back to original units."""
-    if scale is None:
-        return value
-    lo, hi = scale
-    return value * (hi - lo) + lo

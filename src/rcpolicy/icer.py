@@ -9,21 +9,24 @@ effectiveness difference; its influence function follows from the delta
 method, IC = (IC_num - ratio * IC_den) / denominator, giving a Wald
 interval. Denominators too close to zero are flagged unstable and the
 ratio/interval suppressed: a cost ratio against a no-effect contrast
-has no meaning.
+has no meaning. A constant cost column makes every policy's cost value
+that constant with zero influence: no cost-side fits run, the numerator
+is 0, and the curve's warnings say so. Only the per-budget summaries
+are kept; the underlying value estimates are not.
 
 For binary outcomes the denominator is reported in percentage points by
 default so a ratio reads as currency per percentage point of response.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
 from .data import Dataset
 from .rule import StaticPolicy
-from .tmle import ValueEstimate, assignment_for, fit_folds, value_from_assignment
+from .tmle import assignment_for, fit_folds, value_from_assignment
 
 __all__ = ["IcerEstimate", "IcerCurve", "icer_curve", "ratio"]
 
@@ -43,10 +46,8 @@ class IcerEstimate:
 
     numerator is the incremental cost in original currency units;
     denominator the incremental effectiveness (percentage points when
-    effect_units == "pp"). components holds the four underlying value
-    estimates keyed outcome_policy / outcome_comparator / cost_policy /
-    cost_comparator. When unstable is True the denominator was within
-    the epsilon guard of zero: ratio is NaN and se/ci are None.
+    effect_units == "pp"). When unstable is True the denominator was
+    within the epsilon guard of zero: ratio is NaN and se/ci are None.
     """
 
     kappa: float | None
@@ -60,40 +61,24 @@ class IcerEstimate:
     unstable: bool
     effect_units: str
     n: int
-    components: dict = field(repr=False)
-    ic: np.ndarray | None = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
 class IcerCurve:
-    """Per-budget ICER estimates against one static comparator."""
+    """Per-budget ICER estimates against one static comparator.
+
+    warnings holds, deduplicated, those of the outcome-side values that
+    were scored, then the cost-side ones prefixed "cost: ", then a note
+    when the cost column is constant.
+    """
 
     comparator: str
     estimates: tuple[IcerEstimate, ...]
+    warnings: tuple[str, ...] = ()
 
     def plane_points(self) -> list[tuple[float, float, float | None]]:
         """(denominator, numerator, kappa) triples for CE-plane plots."""
         return [(e.denominator, e.numerator, e.kappa) for e in self.estimates]
-
-
-def _constant_cost_estimate(value: float, n: int, label: str) -> ValueEstimate:
-    # constant observed costs make every policy's cost value that constant
-    return ValueEstimate(
-        label=label,
-        psi=float(value),
-        se=0.0,
-        ci=(float(value), float(value)),
-        n=n,
-        kappa=None,
-        tau=0.0,
-        pct_treated=float("nan"),
-        pct_stochastic=float("nan"),
-        epsilon=0.0,
-        score=0.0,
-        fold_taus=(),
-        eif=np.zeros(n),
-        warnings=("constant cost column: cost value is degenerate",),
-    )
 
 
 def icer_curve(
@@ -126,12 +111,25 @@ def icer_curve(
             y_bounds=(lo_c, hi_c),
         )
         nuis_c = fit_folds(ds_cost, cfg, fold_id=nuis_y.fold_id, blips=False)
+    eff_warnings: list[str] = []
+    cost_warnings: list[str] = []
+
+    def effect(asg):
+        est = value_from_assignment(nuis_y, asg)
+        eff_warnings.extend(est.warnings)
+        return est.psi, est.eif
+
+    def cost(asg):
+        # constant observed costs make every policy's cost value that constant
+        if nuis_c is None:
+            return lo_c, 0.0
+        est = value_from_assignment(nuis_c, asg)
+        cost_warnings.extend(est.warnings)
+        return est.psi, est.eif
+
     comp_asg = assignment_for(nuis_y, StaticPolicy(1 if comparator == "treat_all" else 0))
-    comp_eff = value_from_assignment(nuis_y, comp_asg)
-    if nuis_c is not None:
-        comp_cost = value_from_assignment(nuis_c, comp_asg)
-    else:
-        comp_cost = _constant_cost_estimate(lo_c, n, comparator)
+    comp_eff, comp_eff_eif = effect(comp_asg)
+    comp_cost, comp_cost_eif = cost(comp_asg)
 
     lo_y, hi_y = nuis_y.ds.y_scale
     pp = nuis_y.ds.outcome_kind == "binary" and cfg.effect_units == "pp"
@@ -139,19 +137,16 @@ def icer_curve(
     estimates = []
     for k in kappa_grid:
         asg = assignment_for(nuis_y, float(k))
-        eff_pol = value_from_assignment(nuis_y, asg)
-        if nuis_c is not None:
-            cost_pol = value_from_assignment(nuis_c, asg)
-        else:
-            cost_pol = _constant_cost_estimate(lo_c, n, asg.label)
-        numerator = cost_pol.psi - comp_cost.psi
-        eff_diff = eff_pol.psi - comp_eff.psi
+        eff_pol, eff_pol_eif = effect(asg)
+        cost_pol, cost_pol_eif = cost(asg)
+        numerator = cost_pol - comp_cost
+        eff_diff = eff_pol - comp_eff
         denominator = 100.0 * eff_diff if pp else eff_diff
         unstable = abs(eff_diff / (hi_y - lo_y)) <= cfg.epsilon_den
-        r, se, ci, ic = float("nan"), None, None, None
+        r, se, ci = float("nan"), None, None
         if not unstable:
-            ic_num = cost_pol.eif - comp_cost.eif
-            ic_eff = eff_pol.eif - comp_eff.eif
+            ic_num = cost_pol_eif - comp_cost_eif
+            ic_eff = eff_pol_eif - comp_eff_eif
             ic_den = 100.0 * ic_eff if pp else ic_eff
             r = numerator / denominator
             ic = (ic_num - r * ic_den) / denominator
@@ -169,12 +164,9 @@ def icer_curve(
             unstable=unstable,
             effect_units="pp" if pp else "outcome",
             n=n,
-            components={
-                "outcome_policy": eff_pol,
-                "outcome_comparator": comp_eff,
-                "cost_policy": cost_pol,
-                "cost_comparator": comp_cost,
-            },
-            ic=ic,
         ))
-    return IcerCurve(comparator=comparator, estimates=tuple(estimates))
+    warnings = [*eff_warnings, *(f"cost: {w}" for w in cost_warnings)]
+    if nuis_c is None:
+        warnings.append("constant cost column: cost value is degenerate")
+    return IcerCurve(comparator=comparator, estimates=tuple(estimates),
+                     warnings=tuple(dict.fromkeys(warnings)))

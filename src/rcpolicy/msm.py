@@ -12,8 +12,9 @@ on whether prioritization adds value.
 Inference for the coefficients and the chord contrasts is by the
 nonparametric bootstrap with percentile (2.5%, 97.5%) intervals. Two
 modes: `refit` re-runs the whole pipeline (rule included) on every
-resample; `fixed-rule` holds the full-data rule fixed and only
-re-estimates values.
+resample; `fixed-rule` holds the full-data rules fixed (the rules
+`fit-rule` reports, from `tmle.fit_full_rules`) and only re-estimates
+values.
 """
 from __future__ import annotations
 
@@ -24,15 +25,14 @@ import numpy as np
 from .config import PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import weighted_lstsq
-from .rule import StaticPolicy, build_policy
+from .rule import StaticPolicy
 from .tmle import (CvNuisance, GridResult, assignment_for, derive_seed, evaluate_grid,
-                   fit_nuisance, value_from_assignment)
+                   fit_full_rules, fit_nuisance, value_from_assignment)
 
 __all__ = ["MsmFit", "fit_msm", "msm_with_bootstrap"]
 
 _RESAMPLE_STREAM = 211
 _PIPELINE_STREAM = 212
-_FULLFIT_STREAM = 213
 MAX_REDRAWS = 10
 
 BOOT_KEYS = ("beta0", "beta1", "contrast0", "contrast1")
@@ -45,7 +45,7 @@ class MsmFit:
     chord is (treat-none value, treat-all minus treat-none); contrast is
     (beta0 - chord intercept, beta1 - chord slope). boot_ci maps each of
     beta0/beta1/contrast0/contrast1 to its percentile interval when a
-    bootstrap was run.
+    bootstrap was run. warnings are the point grid's nuisance warnings.
     """
 
     kappas: tuple[float, ...]
@@ -59,6 +59,7 @@ class MsmFit:
     boot_replicates: int = 0
     boot_redraws: int = 0
     boot_draws: dict | None = field(default=None, repr=False)
+    warnings: tuple[str, ...] = ()
 
     def predict(self, kappa) -> np.ndarray:
         return self.beta0 + self.beta1 * np.asarray(kappa, dtype=float)
@@ -72,10 +73,6 @@ class MsmFit:
     @property
     def fitted(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.predict(np.array(self.kappas)))
-
-    @property
-    def residuals(self) -> tuple[float, ...]:
-        return tuple(v - f for v, f in zip(self.values, self.fitted))
 
     def plot_rows(self) -> list[tuple[float, float, float, float | None]]:
         """(kappa, value, fitted, chord) rows for curve rendering."""
@@ -170,7 +167,7 @@ def msm_with_bootstrap(
     draws = {key: np.empty(reps) for key in BOOT_KEYS}
     redraws = 0
 
-    fixed = _fixed_rule_policies(ds, kappas, cfg) if mode == "fixed-rule" else None
+    fixed = fit_full_rules(ds, kappas, cfg)[1] if mode == "fixed-rule" else None
 
     for r in range(reps):
         rng = np.random.default_rng(derive_seed(cfg.seed, _RESAMPLE_STREAM, r))
@@ -203,19 +200,15 @@ def msm_with_bootstrap(
         boot_replicates=reps,
         boot_redraws=redraws,
         boot_draws=draws,
+        warnings=grid.nuisance.warnings,
     )
 
 
-def _fixed_rule_policies(ds: Dataset, kappas, cfg: PipelineConfig):
-    """Full-data blip fit and per-kappa policies, shared by all replicates."""
-    ds_s = scale_outcome(ds)
-    seed = derive_seed(cfg.seed, _FULLFIT_STREAM)
-    _, _, blip, _ = fit_nuisance(ds_s, cfg, seed, seed)
-    return {k: build_policy(blip, ds_s, k) for k in kappas}
-
-
 def _fixed_rule_replicate(ds_b: Dataset, kappas, policies, cfg: PipelineConfig) -> MsmFit:
-    """Re-estimate values on a resample while holding the rules fixed."""
+    """Re-estimate values on a resample while holding the rules fixed.
+
+    policies are the full-data rules, in kappas order.
+    """
     ds_s = scale_outcome(ds_b)
     q, g, _, _ = fit_nuisance(ds_s, cfg, cfg.seed)
     nuis = CvNuisance.one_fold(ds_s, q, g, cfg)
@@ -223,5 +216,5 @@ def _fixed_rule_replicate(ds_b: Dataset, kappas, policies, cfg: PipelineConfig) 
     def psi(policy) -> float:
         return value_from_assignment(nuis, assignment_for(nuis, policy)).psi
 
-    values = [psi(policies[k]) for k in kappas]
+    values = [psi(pol) for pol in policies]
     return fit_msm(list(zip(kappas, values)), chord=(psi(StaticPolicy(0)), psi(StaticPolicy(1))))

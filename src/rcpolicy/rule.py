@@ -206,10 +206,8 @@ def treated_fractions(gtilde1: np.ndarray) -> tuple[float, float]:
 class RulePolicy:
     """Stochastic treatment rule induced by a blip model and a budget.
 
-    assign maps covariate rows to treatment probabilities. kind is
-    "stochastic" when the tie set receives a probability strictly inside
-    (0, 1), else "deterministic". pct_treated and pct_stochastic describe
-    the sample the threshold was solved on.
+    assign maps covariate rows to treatment probabilities. pct_treated
+    and pct_stochastic describe the sample the threshold was solved on.
     """
 
     threshold: ThresholdSolution
@@ -224,11 +222,6 @@ class RulePolicy:
     @property
     def tau(self) -> float:
         return self.threshold.tau
-
-    @property
-    def kind(self) -> str:
-        t = self.threshold
-        return "stochastic" if (t.tau > 0 and t.tie_mass > 0 and 0 < t.tie_prob < 1) else "deterministic"
 
     def assign(self, w: np.ndarray) -> np.ndarray:
         b = np.asarray(self.blip_predict(np.atleast_2d(w)), dtype=float)

@@ -15,6 +15,11 @@ Nuisances are fit by `fit_nuisance`, and every value is computed by
   tmle_value      single-sample TMLE: the supplied q and g form a
                   one-fold nuisance, and the rule is taken as given.
 
+`fit_full_rules` fits the full-data rule (one blip fit on every row),
+the rule `fit-rule` reports and a fixed-rule bootstrap holds fixed.
+An `Assignment` is a rule resolved on the sample: each row's treatment
+probability and the threshold that row's fold used.
+
 For budget-constrained rules the influence function carries an extra
 tau * (d(W) - kappa) term reflecting that the threshold itself was
 chosen to spend the budget exactly. An estimate keeps only the summed
@@ -41,7 +46,8 @@ from .learners import (
     fit_propensity,
     stratified_folds,
 )
-from .rule import StaticPolicy, assign_from_blips, solve_threshold, treated_fractions
+from .rule import (StaticPolicy, assign_from_blips, build_policy, solve_threshold,
+                   treated_fractions)
 
 __all__ = [
     "Assignment",
@@ -55,6 +61,7 @@ __all__ = [
     "derive_seed",
     "evaluate_grid",
     "fit_folds",
+    "fit_full_rules",
     "tmle_value",
     "value_from_assignment",
 ]
@@ -132,7 +139,6 @@ class ValueEstimate:
     pct_stochastic: float
     epsilon: float
     score: float
-    fold_taus: tuple[float, ...]
     eif: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
 
@@ -322,7 +328,6 @@ class Assignment:
     kappa: float | None
     gtilde1: np.ndarray
     tau_row: np.ndarray
-    fold_taus: tuple[float, ...]
     pct_treated: float
     pct_stochastic: float
 
@@ -343,22 +348,19 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
             label = f"rule(kappa={kappa:g})"
         gtilde1 = np.asarray(target.assign(nuis.ds.w), dtype=float)
         tau = float(target.tau)
-        return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau), (tau,) * nuis.folds,
+        return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau),
                           *treated_fractions(gtilde1))
     if not nuis.train_blips:
         raise ValueError("a budget target needs a nuisance fit with blips")
     kappa = float(target)
     gtilde1 = np.empty(nuis.n)
     tau_row = np.empty(nuis.n)
-    fold_taus = []
     for v, tb in zip(np.unique(nuis.fold_id), nuis.train_blips):
         val = nuis.fold_id == v
         sol = solve_threshold(tb, kappa)
         gtilde1[val] = assign_from_blips(nuis.val_blip[val], sol)
         tau_row[val] = sol.tau
-        fold_taus.append(sol.tau)
-    return Assignment(f"kappa={kappa:g}", kappa, gtilde1, tau_row, tuple(fold_taus),
-                      *treated_fractions(gtilde1))
+    return Assignment(f"kappa={kappa:g}", kappa, gtilde1, tau_row, *treated_fractions(gtilde1))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +397,6 @@ def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
     eif = residual + plugin - psi - penalty
     se = float(np.sqrt(np.mean(eif * eif) / n))
 
-    fold_taus = tuple(s * t for t in asg.fold_taus)
     return ValueEstimate(
         label=asg.label,
         psi=psi,
@@ -408,7 +409,6 @@ def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
         pct_stochastic=asg.pct_stochastic,
         epsilon=eps,
         score=score,
-        fold_taus=fold_taus,
         eif=eif,
         warnings=warnings,
     )
@@ -454,6 +454,23 @@ def tmle_value(
     return value_from_assignment(nuis, assignment_for(nuis, policy))
 
 
+def fit_full_rules(ds: Dataset, kappas, config: PipelineConfig | None = None):
+    """The full-data rule at each budget, with no cross-fitting.
+
+    One blip fit on all of ds (outcome scaled to [0, 1]) and its
+    constrained rule per kappa. Returns (blip, policies, warnings):
+    policies follow kappas, thresholds are on the [0, 1] scale, and
+    warnings are the fits' own, deduplicated.
+    """
+    cfg = config or PipelineConfig()
+    ds_s = scale_outcome(ds)
+    _, _, blip, warnings = fit_nuisance(
+        ds_s, cfg, derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
+    )
+    policies = [build_policy(blip, ds_s, k) for k in kappas]
+    return blip, policies, tuple(dict.fromkeys(warnings))
+
+
 @dataclass(frozen=True)
 class GridResult:
     """Value estimates along a budget grid plus the static references."""
@@ -463,12 +480,6 @@ class GridResult:
     treat_all: ValueEstimate
     treat_none: ValueEstimate
     nuisance: CvNuisance = field(repr=False)
-
-    def estimate_at(self, kappa: float) -> ValueEstimate:
-        for k, est in zip(self.kappas, self.estimates):
-            if abs(k - kappa) <= 1e-12:
-                return est
-        raise KeyError(f"kappa {kappa} not on the grid")
 
 
 def evaluate_grid(

@@ -10,6 +10,7 @@ import pytest
 
 from rcpolicy.cli import CliError, _resolve_config, build_parser, main, parse_kappa_grid
 from rcpolicy.config import PipelineConfig, config_hash
+from rcpolicy.data import scale_outcome
 from rcpolicy.dgp import adaptr_like, oracle
 
 LEAN_FLAGS = ["--folds", "3", "--g-known", "0.5",
@@ -245,6 +246,44 @@ def test_fit_rule_reports_thresholds_in_outcome_units(tmp_path, capsys):
     assert wide["pct_treated"] == unit["pct_treated"]
 
 
+def test_fit_rule_reports_the_rules_fixed_rule_holds(tmp_path, capsys, monkeypatch):
+    """fit-rule and the fixed-rule bootstrap fit one full-data rule: the
+    reported tau is the held policy's tau in outcome units."""
+    import rcpolicy.msm
+
+    csv = tmp_path / "cont.csv"
+    assert main(["simulate", "--dgp", "continuous_blip", "--n", "400", "--seed", "3",
+                 "--no-cost", "--out", str(csv)]) == 0
+    # the binary outcome recoded onto {2, 6}, so thresholds scale by 4
+    lines = csv.read_text().splitlines()
+    j = lines[0].split(",").index("y")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[j] = repr(2.0 + 4.0 * float(row[j]))
+    csv.write_text("\n".join([lines[0], *(",".join(r) for r in rows)]) + "\n")
+    flags = ["--data", str(csv), "--seed", "3", "--outcome-kind", "bounded_real",
+             "--y-bounds", "2:6", *LEAN_FLAGS]
+    assert main(["fit-rule", "--kappa", "0:1:0.25", *flags]) == 0
+    rules = json.loads(capsys.readouterr().out)["rules"]
+
+    held = []
+    full_rules = rcpolicy.msm.fit_full_rules
+
+    def spy(ds, kappas, cfg):
+        out = full_rules(ds, kappas, cfg)
+        held.append((scale_outcome(ds).y_scale, out[1]))
+        return out
+
+    monkeypatch.setattr(rcpolicy.msm, "fit_full_rules", spy)
+    assert main(["msm", "--kappa-grid", "0:1:0.25", "--mode", "fixed-rule",
+                 "--bootstrap", "2", "--out", str(tmp_path / "msm.json"), *flags]) == 0
+    ((lo, hi), policies), = held
+    assert (lo, hi) == (2.0, 6.0)
+    assert [r["kappa"] for r in rules] == [p.kappa for p in policies]
+    assert any(r["tau"] > 0 for r in rules)
+    assert [r["tau"] for r in rules] == [(hi - lo) * p.tau for p in policies]
+
+
 # --- evaluate -------------------------------------------------------------------
 
 
@@ -308,6 +347,38 @@ def test_icer_payload(workdir):
     assert lines[0] == "denominator_pp,numerator,kappa"
     assert len(lines) == 4
     assert _load(workdir["plane"] + ".meta.json")["audit"]["seed"] == 5
+
+
+def test_icer_and_msm_report_the_warnings_evaluate_reports(tmp_path):
+    csv = str(tmp_path / "a400.csv")
+    assert main(["simulate", "--dgp", "adaptr_like", "--n", "400", "--seed", "3",
+                 "--out", csv]) == 0
+    flags = ["--data", csv, "--kappa-grid", "0.5:1:0.5", "--folds", "3", "--seed", "3"]
+    docs = {}
+    for cmd, extra in (("evaluate", []), ("icer", []),
+                       ("msm", ["--mode", "fixed-rule", "--bootstrap", "2"])):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, *flags, *extra, "--out", str(out)]) == 0
+        docs[cmd] = _load(out)
+    assert docs["evaluate"]["warnings"]  # separation fallbacks in the default library
+    assert set(docs["evaluate"]["warnings"]) <= set(docs["icer"]["warnings"])
+    assert docs["msm"]["warnings"] == docs["evaluate"]["warnings"]
+    for cmd in ("icer", "msm"):
+        assert list(docs[cmd])[-2:] == ["warnings", "audit"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--covariate-cols", "wage_work,y"],
+    ["evaluate", "--covariate-cols", "wage_work,a"],
+    ["evaluate", "--covariate-cols", "wage_work,wage_work"],
+    ["icer", "--cost-col", "y"],
+], ids=["cov_outcome", "cov_treatment", "cov_twice", "cost_outcome"])
+def test_a_column_in_two_roles_exits_1_writing_nothing(workdir, tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--data", workdir["csv"], "--kappa-grid", "0.5:1:0.5",
+                 "--out", str(out), *LEAN_FLAGS]) == 1
+    assert "column" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_icer_needs_cost_column(tmp_path, capsys):
@@ -476,6 +547,47 @@ assert not loaded, loaded
     env.pop("RC_POLICY_SEED", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_icer_curve_result_holds_no_arrays():
+    """The curve keeps per-budget summaries only, never n-length arrays."""
+    from dataclasses import fields, is_dataclass
+
+    from rcpolicy import Dataset, PipelineConfig, generate, icer_curve
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            return 1
+        if is_dataclass(obj):
+            return sum(arrays(getattr(obj, f.name)) for f in fields(obj))
+        if isinstance(obj, (tuple, list)):
+            return sum(arrays(v) for v in obj)
+        if isinstance(obj, dict):
+            return sum(arrays(v) for v in obj.values())
+        return 0
+
+    ds = generate(adaptr_like(seed=2), 300)
+    cfg = PipelineConfig(folds=2, g_known=0.5, outcome_library=("mean",), blip_library=("mean",))
+    for c in (ds.c, np.full(ds.n, 3.0)):  # varying and constant costs
+        with_c = Dataset(w=ds.w, a=ds.a, y=ds.y, covariate_names=ds.covariate_names, c=c)
+        curve = icer_curve(with_c, (0.3, 1.0), "treat_none", cfg)
+        assert len(curve.estimates) == 2
+        assert arrays(curve) == 0
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import rcpolicy
+
+    modules = [rcpolicy] + [importlib.import_module(f"rcpolicy.{m.name}")
+                            for m in pkgutil.iter_modules(rcpolicy.__path__)]
+    exporting = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert len(exporting) >= 9
+    for mod in exporting:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)
 
 
 def test_version_and_help_exit_0(capsys):

@@ -6,11 +6,9 @@ from rcpolicy import (
     ColumnSchema,
     Dataset,
     adaptr_like,
-    default_schema,
     generate,
     ingest_csv,
     scale_outcome,
-    unscale,
     write_csv,
 )
 
@@ -53,13 +51,37 @@ def test_ingest_rejects_single_arm(tmp_path):
         ingest_csv(p, ColumnSchema(treatment="a", outcome="y", covariates=("w1",)))
 
 
+@pytest.mark.parametrize("schema, message", [
+    (ColumnSchema("a", "y", ("w1", "y")), "'y' used as outcome and covariate"),
+    (ColumnSchema("a", "y", ("w1", "a")), "'a' used as treatment and covariate"),
+    (ColumnSchema("a", "y", ("w1",), cost="y"), "'y' used as outcome and cost"),
+    (ColumnSchema("a", "a", ("w1",)), "'a' used as treatment and outcome"),
+    (ColumnSchema("a", "y", ("w1", "c"), cost="c"), "'c' used as cost and covariate"),
+    (ColumnSchema("a", "y", ("w1", "w1")), "'w1' listed twice"),
+], ids=["cov_outcome", "cov_treatment", "cost_outcome", "treatment_outcome", "cov_cost",
+        "cov_twice"])
+def test_ingest_rejects_a_column_in_two_roles(tmp_path, schema, message):
+    p = _write(tmp_path / "d.csv", "w1,a,y,c\n0,0,0,1\n1,1,1,2\n")
+    with pytest.raises(ValueError, match=message):
+        ingest_csv(p, schema)
+
+
+def test_ingest_rejects_a_repeated_header_name_it_uses(tmp_path):
+    p = _write(tmp_path / "d.csv", "w1,a,y,w1\n0,0,0,5\n1,1,1,6\n")
+    with pytest.raises(ValueError, match="header repeats column 'w1'"):
+        ingest_csv(p, ColumnSchema("a", "y", ("w1",)))
+    # a repeated name the schema does not use is left alone
+    p = _write(tmp_path / "e.csv", "w1,a,y,x,x\n0,0,0,5,5\n1,1,1,6,6\n")
+    assert ingest_csv(p, ColumnSchema("a", "y", ("w1",))).n == 2
+
+
 def test_round_trip_is_identity(tmp_path):
     """write_csv then ingest_csv reproduces the Dataset and the bytes."""
     ds = generate(adaptr_like(seed=1), 1000)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_csv(ds, p1)
-    back = ingest_csv(str(p1), default_schema(ds))
+    back = ingest_csv(str(p1), ColumnSchema("a", "y", ds.covariate_names, cost="c"))
     assert back == ds
     write_csv(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -108,12 +130,6 @@ def test_scale_is_idempotent():
     assert once.y_scale == twice.y_scale
 
 
-def test_unscale_back_maps():
-    # 0.66 on the unit scale with original bounds (2, 12) -> 8.6
-    assert unscale(0.66, (2.0, 12.0)) == pytest.approx(8.6, abs=1e-12)
-    assert unscale(0.3, None) == 0.3
-
-
 def test_scale_rejects_degenerate_bounds():
     with pytest.raises(ValueError):
         Dataset(
@@ -142,7 +158,8 @@ def test_scale_unscale_round_trip(y, lo, hi):
     )
     scaled = scale_outcome(ds)
     assert np.all((scaled.y >= 0) & (scaled.y <= 1))
-    back = np.array([unscale(v, scaled.y_scale) for v in scaled.y])
+    s_lo, s_hi = scaled.y_scale
+    back = s_lo + scaled.y * (s_hi - s_lo)
     assert np.allclose(back, ds.y, rtol=1e-12, atol=1e-9)
 
 
@@ -159,5 +176,5 @@ def test_cost_column_round_trip(tmp_path):
     assert ds.c is not None
     p = tmp_path / "c.csv"
     write_csv(ds, p)
-    back = ingest_csv(str(p), default_schema(ds))
+    back = ingest_csv(str(p), ColumnSchema("a", "y", ds.covariate_names, cost="c"))
     assert np.array_equal(back.c, ds.c)

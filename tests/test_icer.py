@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rcpolicy import Dataset, PipelineConfig, StaticPolicy, fit_folds, icer_curve, ratio
-from rcpolicy.tmle import assignment_for
+from rcpolicy.tmle import assignment_for, value_from_assignment
 
 LEAN = PipelineConfig(folds=5, g_known=0.5,
                       outcome_library=("mean", "glm"), blip_library=("mean", "glm"))
@@ -38,14 +38,39 @@ def test_icer_unconstrained_vs_none_near_oracle(adaptr_20k):
     assert est.kappa == 1.0
 
 
-def test_icer_ratio_consistent_with_components(adaptr_20k):
+@pytest.fixture(scope="module")
+def sides_20k(adaptr_20k):
+    """Outcome and cost nuisances fit as icer_curve fits them."""
+    nuis_y = fit_folds(adaptr_20k, LEAN)
+    c = adaptr_20k.c
+    ds_cost = Dataset(w=adaptr_20k.w, a=adaptr_20k.a, y=c,
+                      covariate_names=adaptr_20k.covariate_names,
+                      outcome_kind="bounded_real", y_bounds=(float(c.min()), float(c.max())))
+    nuis_c = fit_folds(ds_cost, LEAN, fold_id=nuis_y.fold_id, blips=False)
+    return nuis_y, nuis_c
+
+
+def _recompute(sides, kappa):
+    """(numerator, denominator in pp, ratio, ic, policy and comparator
+    assignments) from the four values against treat-none."""
+    nuis_y, nuis_c = sides
+    pol, comp = assignment_for(nuis_y, kappa), assignment_for(nuis_y, StaticPolicy(0))
+    eff_pol, eff_comp = (value_from_assignment(nuis_y, a) for a in (pol, comp))
+    cost_pol, cost_comp = (value_from_assignment(nuis_c, a) for a in (pol, comp))
+    num = cost_pol.psi - cost_comp.psi
+    den = 100.0 * (eff_pol.psi - eff_comp.psi)
+    r = num / den
+    ic = ((cost_pol.eif - cost_comp.eif) - r * (100.0 * (eff_pol.eif - eff_comp.eif))) / den
+    return num, den, r, ic, pol, comp
+
+
+def test_icer_ratio_consistent_with_components(adaptr_20k, sides_20k):
     est = icer_curve(adaptr_20k, [0.5], "treat_none", LEAN).estimates[0]
-    c = est.components
-    num = c["cost_policy"].psi - c["cost_comparator"].psi
-    den = 100.0 * (c["outcome_policy"].psi - c["outcome_comparator"].psi)
-    assert est.numerator == pytest.approx(num, abs=1e-12)
-    assert est.denominator == pytest.approx(den, abs=1e-12)
-    assert est.ratio == pytest.approx(num / den, abs=1e-12)
+    num, den, r, ic, _, _ = _recompute(sides_20k, 0.5)
+    assert est.numerator == num
+    assert est.denominator == den
+    assert est.ratio == r
+    assert est.se == float(np.std(ic) / np.sqrt(adaptr_20k.n))
     assert est.numerator > 0 and est.denominator > 0 and est.ratio > 0
 
 
@@ -83,21 +108,24 @@ def test_icer_constant_cost_degenerates(adaptr_2k):
     flat = Dataset(w=adaptr_2k.w, a=adaptr_2k.a, y=adaptr_2k.y,
                    covariate_names=adaptr_2k.covariate_names,
                    c=np.full(adaptr_2k.n, 52.6))
-    est = icer_curve(flat, [0.5], "treat_none", LEAN).estimates[0]
+    curve = icer_curve(flat, [0.5], "treat_none", LEAN)
+    est = curve.estimates[0]
     assert est.numerator == 0.0
     assert est.ratio == 0.0
     assert not est.unstable
     assert est.se == 0.0
-    assert any("constant cost" in w for w in est.components["cost_policy"].warnings)
+    assert curve.warnings[-1] == "constant cost column: cost value is degenerate"
+    assert not any(w.startswith("cost: ") for w in curve.warnings)
 
 
-def test_icer_influence_mean_tracks_penalties(adaptr_20k):
+def test_icer_influence_mean_tracks_penalties(adaptr_20k, sides_20k):
     """The ratio influence values center up to the budget penalty residue."""
     est = icer_curve(adaptr_20k, [0.5], "treat_none", LEAN).estimates[0]
     # icer_curve scores the outcome side's assignments on both sides; each
     # side's penalty carries its own outcome range
-    nuis = fit_folds(adaptr_20k, LEAN)
-    pol, comp = assignment_for(nuis, 0.5), assignment_for(nuis, StaticPolicy(0))
+    _, den, r, ic, pol, comp = _recompute(sides_20k, 0.5)
+    assert est.se == float(np.std(ic) / np.sqrt(adaptr_20k.n))
+    nuis = sides_20k[0]
 
     def mean_penalty(asg, y_scale):
         lo, hi = y_scale
@@ -106,8 +134,8 @@ def test_icer_influence_mean_tracks_penalties(adaptr_20k):
     cost_scale = (adaptr_20k.c.min(), adaptr_20k.c.max())
     pen_num = mean_penalty(pol, cost_scale) - mean_penalty(comp, cost_scale)
     pen_den = 100.0 * (mean_penalty(pol, nuis.ds.y_scale) - mean_penalty(comp, nuis.ds.y_scale))
-    bound = (abs(pen_num) + abs(est.ratio) * abs(pen_den)) / abs(est.denominator)
-    assert abs(est.ic.mean()) <= bound + 1e-8
+    bound = (abs(pen_num) + abs(r) * abs(pen_den)) / abs(den)
+    assert abs(ic.mean()) <= bound + 1e-8
 
 
 def test_icer_effect_unit_switch(adaptr_2k):

@@ -18,13 +18,13 @@ from rcpolicy import (
     tmle_value,
 )
 from rcpolicy.msm import (
-    _FULLFIT_STREAM,
     _PIPELINE_STREAM,
     _RESAMPLE_STREAM,
     BOOT_KEYS,
     MAX_REDRAWS,
     _resample,
 )
+from rcpolicy.tmle import BLIP_STREAM, Q_STREAM
 
 REFERENCE_KAPPAS = tuple(round(k / 10, 1) for k in range(11))
 REFERENCE_VALUES = (0.6655, 0.6860, 0.6910, 0.7118, 0.7067, 0.7193,
@@ -49,7 +49,7 @@ def test_exact_line_is_recovered():
     fit = fit_msm(pairs)
     assert fit.beta0 == pytest.approx(0.2, abs=1e-12)
     assert fit.beta1 == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-12)
+    assert np.allclose(np.array(fit.values) - fit.predict(fit.kappas), 0.0, atol=1e-12)
 
 
 def test_reference_column_coefficients():
@@ -78,7 +78,7 @@ def test_fit_rejects_degenerate_input():
 
 def test_residual_orthogonality():
     fit = fit_msm(zip(REFERENCE_KAPPAS, REFERENCE_VALUES))
-    r = np.array(fit.residuals)
+    r = np.array(fit.values) - fit.predict(fit.kappas)
     k = np.array(fit.kappas)
     assert abs(r.sum()) <= 1e-10
     assert abs(r @ k) <= 1e-10
@@ -185,10 +185,9 @@ def test_fixed_rule_draws_match_per_policy_tmle_loop(boot_ds, g_known):
     fit = msm_with_bootstrap(boot_ds, kappas, cfg)
 
     ds_s = scale_outcome(boot_ds)
-    seed = derive_seed(cfg.seed, _FULLFIT_STREAM)
-    q = fit_outcome(ds_s, cfg.outcome_library, cfg.folds, seed)
+    q = fit_outcome(ds_s, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, Q_STREAM))
     g = fit_propensity(ds_s, cfg.g_known, cfg.g_estimate, cfg.g_min)
-    blip = fit_blip(ds_s, q, g, cfg.blip_library, cfg.folds, seed)
+    blip = fit_blip(ds_s, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, BLIP_STREAM))
     policies = [build_policy(blip, ds_s, k) for k in kappas]
     for r in range(cfg.bootstrap_replicates):
         rng = np.random.default_rng(derive_seed(cfg.seed, _RESAMPLE_STREAM, r))

@@ -120,13 +120,13 @@ def test_build_policy_binding_budget_treats_kappa():
 def test_build_policy_some_budget_is_stochastic():
     spec = adaptr_like(seed=5)
     ds = generate(spec, 3000)
-    kinds = []
+    tie_probs = []
     stoch = []
     for kappa in np.arange(0.1, 1.0, 0.1):
         pol = build_policy(OracleBlipModel(spec), ds, float(kappa))
-        kinds.append(pol.kind)
+        tie_probs.append(pol.threshold.tie_prob)
         stoch.append(pol.pct_stochastic)
-    assert any(k == "stochastic" for k in kinds)
+    assert any(0 < p < 1 for p in tie_probs)
     assert any(0.0 < s < 1.0 for s in stoch)
 
 
