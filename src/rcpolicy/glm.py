@@ -4,6 +4,23 @@ These back the candidate learners, the propensity fit, and the subgroup
 scan. Plain maximum likelihood, no penalization. Degenerate designs fall
 back to an intercept-only fit instead of raising, and the fallback is
 recorded on the returned fit so callers can surface a warning.
+
+Solver. Every OLS fit and every IRLS step solves the weighted normal
+equations X'WX b = X'Wz (`normal_lstsq`): the Gram matrix is scaled to a
+unit diagonal and factored by Cholesky. Its pivots are then sqrt(1 - R^2)
+of each column on the columns before it, and 1 / (smallest pivot)^2 is a
+lower bound on the scaled Gram's condition number. When the factorisation
+fails or a pivot is below `_MIN_PIVOT` (condition number at least 1e6,
+where the normal equations would keep fewer than about ten digits), the
+step falls back to SVD least squares on sqrt(W) X (`weighted_lstsq`).
+
+Rank check. A fit first asks `design_is_singular` (numpy's `matrix_rank`
+tolerance) and takes the intercept-only fallback on a rank-deficient
+design. A caller fitting many column subsets of one term matrix T can run
+the check once on T and pass `full_rank=True`: by singular-value
+interlacing a column subset has a smallest singular value no smaller and a
+largest no larger than T's, so it passes the same tolerance whenever T
+does. When T fails the check, every fit must check itself.
 """
 from __future__ import annotations
 
@@ -18,6 +35,9 @@ import numpy as np
 _SEPARATION_ETA = 15.0
 _IRLS_MAX_ITER = 100
 _IRLS_TOL = 1e-10
+# Smallest Cholesky pivot of the unit-diagonal Gram matrix that the normal
+# equations accept; below it the solve goes to SVD least squares.
+_MIN_PIVOT = 1e-3
 
 
 @dataclass
@@ -42,13 +62,9 @@ class GlmFit:
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
-    # numerically safe logistic
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # numerically safe logistic: exp of a non-positive argument only
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logit(p: np.ndarray) -> np.ndarray:
@@ -70,33 +86,60 @@ def weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) ->
     return coef
 
 
-def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
-    """Ordinary least squares with a singularity fallback."""
+def normal_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Least-squares coefficients from the normal equations X'WX b = X'Wy.
+
+    Cholesky on the Gram matrix scaled to a unit diagonal; falls back to
+    `weighted_lstsq` when the factorisation fails or a pivot is below
+    `_MIN_PIVOT` (see the module docstring).
+    """
+    Xw = X if w is None else X * w[:, None]
+    gram = Xw.T @ X
+    d = np.sqrt(np.diag(gram))
+    if not np.all(np.isfinite(d) & (d > 0)):
+        return weighted_lstsq(X, y, w)
+    try:
+        chol = np.linalg.cholesky(gram / np.outer(d, d))
+    except np.linalg.LinAlgError:
+        return weighted_lstsq(X, y, w)
+    if not np.min(np.diag(chol)) >= _MIN_PIVOT:
+        return weighted_lstsq(X, y, w)
+    half = np.linalg.solve(chol, (Xw.T @ y) / d)
+    return np.linalg.solve(chol.T, half) / d
+
+
+def fit_linear(X: np.ndarray, y: np.ndarray, *, full_rank: bool = False) -> GlmFit:
+    """Ordinary least squares with a singularity fallback.
+
+    full_rank=True skips the rank check; pass it only when X is a column
+    subset of a matrix that passed `design_is_singular`.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if design_is_singular(X):
+    if not full_rank and design_is_singular(X):
         coef = np.zeros(X.shape[1])
         coef[_intercept_col(X)] = float(np.mean(y))
         return GlmFit(coef=coef, family="gaussian", fallback="singular_design")
-    return GlmFit(coef=weighted_lstsq(X, y), family="gaussian")
+    return GlmFit(coef=normal_lstsq(X, y), family="gaussian")
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray, *, full_rank: bool = False) -> GlmFit:
     """Logistic regression by IRLS.
 
     y may be any values in [0, 1] (quasi-binomial working likelihood).
     Separation and non-convergence fall back to the intercept-only
-    solution rather than returning runaway coefficients.
+    solution rather than returning runaway coefficients. full_rank=True
+    skips the rank check, as in `fit_linear`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if design_is_singular(X):
+    if not full_rank and design_is_singular(X):
         return _logistic_intercept_fallback(X, y, "singular_design")
 
     beta = np.zeros(p)
+    eta = np.zeros(n)
     for it in range(1, _IRLS_MAX_ITER + 1):
-        eta = X @ beta
         mu = expit(eta)
         v = mu * (1.0 - mu)
         score = X.T @ (y - mu)
@@ -106,16 +149,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
             return GlmFit(coef=beta, family="binomial", n_iter=it)
         irls_w = np.maximum(v, 1e-12)
         z = eta + (y - mu) / irls_w
-        beta_new = weighted_lstsq(X, z, irls_w)
+        beta_new = normal_lstsq(X, z, irls_w)
         if not np.all(np.isfinite(beta_new)):
             return _logistic_intercept_fallback(X, y, "no_convergence")
         step = beta_new - beta
-        if np.max(np.abs(X @ beta_new)) > 2 * _SEPARATION_ETA:
+        eta = X @ beta_new
+        if np.max(np.abs(eta)) > 2 * _SEPARATION_ETA:
             # runaway linear predictor: separation in progress
             return _logistic_intercept_fallback(X, y, "separation")
         beta = beta_new
         if np.max(np.abs(step)) < _IRLS_TOL:
-            if np.max(np.abs(X @ beta)) > _SEPARATION_ETA:
+            if np.max(np.abs(eta)) > _SEPARATION_ETA:
                 return _logistic_intercept_fallback(X, y, "separation")
             return GlmFit(coef=beta, family="binomial", n_iter=it)
     return _logistic_intercept_fallback(X, y, "no_convergence")
@@ -167,13 +211,17 @@ def forward_stepwise_aic(
     y: np.ndarray,
     family: str,
     max_terms: int = 5,
+    *,
+    full_rank: bool = False,
 ) -> tuple[list[int], GlmFit]:
     """Greedy forward selection by AIC over candidate columns.
 
     Starts from the intercept-only model and adds at most `max_terms`
     columns, each time taking the single addition that lowers AIC most.
     Returns the chosen column indices (into candidate_cols) and the fit
-    on [intercept, chosen columns].
+    on [intercept, chosen columns]. full_rank=True skips every fit's rank
+    check; pass it only when [1, candidate_cols...] passed
+    `design_is_singular`.
     """
     n = len(y)
     ones = np.ones((n, 1))
@@ -181,9 +229,9 @@ def forward_stepwise_aic(
     def fit_on(idx: list[int]) -> tuple[GlmFit, float]:
         X = np.hstack([ones] + [candidate_cols[j][:, None] for j in idx]) if idx else ones
         if family == "binomial":
-            f = fit_logistic(X, y)
+            f = fit_logistic(X, y, full_rank=full_rank)
             return f, binomial_aic(X, y, f)
-        f = fit_linear(X, y)
+        f = fit_linear(X, y, full_rank=full_rank)
         return f, gaussian_aic(X, y, f)
 
     chosen: list[int] = []

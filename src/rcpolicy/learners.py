@@ -160,17 +160,23 @@ def _candidate_terms(
 
 
 def _fit_candidate(
-    spec: str, terms: tuple[int, ...] | None, T: np.ndarray, y: np.ndarray, family: str
+    spec: str, terms: tuple[int, ...] | None, T: np.ndarray, y: np.ndarray, family: str,
+    full_rank: bool,
 ) -> LinearScorer:
+    """Fit one candidate on term matrix T; full_rank says T passed the rank check."""
     if terms is None:
         # stepwise: pool of non-intercept terms, greedy AIC selection
         pool = list(range(1, T.shape[1]))
         cols = [T[:, j] for j in pool]
-        chosen, fit = glm.forward_stepwise_aic(cols, y, family, STEPWISE_MAX_TERMS)
+        chosen, fit = glm.forward_stepwise_aic(cols, y, family, STEPWISE_MAX_TERMS,
+                                               full_rank=full_rank)
         terms = (0, *[pool[j] for j in chosen])
         return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
     X = T[:, terms]
-    fit = glm.fit_logistic(X, y) if family == "binomial" else glm.fit_linear(X, y)
+    if family == "binomial":
+        fit = glm.fit_logistic(X, y, full_rank=full_rank)
+    else:
+        fit = glm.fit_linear(X, y, full_rank=full_rank)
     return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
 
 
@@ -201,7 +207,12 @@ class _Stack:
 def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind: str,
                library: Sequence[str], folds: int, seed: int):
     """A `cls` stack of `library` on term matrix T: cross-validated
-    candidate predictions, simplex weights, full-data refits."""
+    candidate predictions, simplex weights, full-data refits.
+
+    Every candidate design is a column subset of T (column 0 is the
+    intercept), so the rank check runs once per training split and once
+    on T; see the `glm` module docstring.
+    """
     from .simplex import simplex_lstsq
 
     if ds.n < folds:
@@ -214,15 +225,18 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind
     for v in np.unique(fold_id):
         train = fold_id != v
         val = ~train
+        T_train, y_train, T_val = T[train], y[train], T[val]
+        full_rank = not glm.design_is_singular(T_train)
         for j, spec in enumerate(specs):
-            scorer = _fit_candidate(spec, terms[j], T[train], y[train], family)
+            scorer = _fit_candidate(spec, terms[j], T_train, y_train, family, full_rank)
             if scorer.fallback:
                 warnings.append(f"{spec}: {scorer.fallback} (fold {v})")
-            Z[val, j] = scorer.predict_terms(T[val])
+            Z[val, j] = scorer.predict_terms(T_val)
     weights = simplex_lstsq(Z, y)
+    full_rank = not glm.design_is_singular(T)
     fitted = []
     for spec, cols in zip(specs, terms):
-        scorer = _fit_candidate(spec, cols, T, y, family)
+        scorer = _fit_candidate(spec, cols, T, y, family, full_rank)
         if scorer.fallback:
             warnings.append(f"{spec}: {scorer.fallback} (full fit)")
         fitted.append(scorer)

@@ -1,4 +1,10 @@
+import itertools
+
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from rcpolicy import glm
@@ -94,3 +100,135 @@ def test_stepwise_null_signal_stays_small():
     y = rng.normal(size=n)
     chosen, _ = glm.forward_stepwise_aic(cols, y, family="gaussian")
     assert len(chosen) <= 2  # AIC should not load up on noise
+
+
+# --- solver: normal equations with an SVD fallback ---------------------------
+
+
+def _count_lstsq_fallbacks(monkeypatch):
+    calls = []
+    original = glm.weighted_lstsq
+
+    def counted(X, y, w=None):
+        calls.append(X.shape)
+        return original(X, y, w)
+
+    monkeypatch.setattr(glm, "weighted_lstsq", counted)
+    return calls
+
+
+def test_normal_equations_accurate_on_badly_scaled_offset_covariate(monkeypatch):
+    # a covariate around 5e6 with an A*W interaction: cond(X) ~ 7e7. The
+    # reference is lstsq on unit-norm columns (cond ~ 1e2); plain lstsq on
+    # X is itself off by up to ~3e-7 relative on such draws.
+    rng = np.random.default_rng(12)
+    n = 400
+    a = rng.binomial(1, 0.5, n).astype(float)
+    w = 1e6 * rng.normal(5, 1, n)
+    X = np.column_stack([np.ones(n), a, w, a * w])
+    assert np.linalg.cond(X) > 1e7
+    y = 0.2 + 0.5 * a + 3e-7 * w - 1e-7 * a * w + rng.normal(size=n)
+    wt = rng.uniform(0.01, 0.25, n)
+    scale = np.linalg.norm(X, axis=0)
+    fallbacks = _count_lstsq_fallbacks(monkeypatch)
+
+    fit = glm.fit_linear(X, y)
+    ref = np.linalg.lstsq(X / scale, y, rcond=None)[0] / scale
+    assert fit.fallback is None
+    assert np.allclose(fit.coef, ref, rtol=1e-8, atol=0)
+
+    sw = np.sqrt(wt)
+    ref_w = np.linalg.lstsq(X * sw[:, None] / scale, y * sw, rcond=None)[0] / scale
+    assert np.allclose(glm.normal_lstsq(X, y, wt), ref_w, rtol=1e-8, atol=0)
+    assert fallbacks == []  # both solved on the normal equations
+
+
+def test_near_collinear_design_takes_the_lstsq_fallback(monkeypatch):
+    # passes the rank check, but the third column is the second plus 1e-7
+    # noise: its Cholesky pivot is ~1e-7, below the normal equations' bound
+    rng = np.random.default_rng(13)
+    n = 400
+    x = rng.normal(size=n)
+    X = np.column_stack([np.ones(n), x, x + 1e-7 * rng.normal(size=n)])
+    y = 1.0 + x + rng.normal(size=n)
+    assert not glm.design_is_singular(X)
+    fallbacks = _count_lstsq_fallbacks(monkeypatch)
+    fit = glm.fit_linear(X, y)
+    assert fallbacks == [X.shape]
+    assert np.array_equal(fit.coef, np.linalg.lstsq(X, y, rcond=None)[0])
+
+
+def test_pivot_bound_sits_between_accepted_and_rejected_designs(monkeypatch):
+    # the third column's pivot is sqrt(1 - R^2) on [1, x]: ~1e-2 is solved
+    # on the normal equations, ~1e-4 goes to lstsq (bound 1e-3)
+    rng = np.random.default_rng(14)
+    n = 400
+    x = rng.normal(size=n)
+    noise = rng.normal(size=n)
+    fallbacks = _count_lstsq_fallbacks(monkeypatch)
+    for eps, expect in ((1e-2, []), (1e-4, [(n, 3)])):
+        fallbacks.clear()
+        X = np.column_stack([np.ones(n), x, x + eps * noise])
+        glm.normal_lstsq(X, x + noise)
+        assert fallbacks == expect, eps
+
+
+@pytest.mark.parametrize("second", ["double", "zero"])
+def test_singular_gram_never_gives_runaway_coefficients(second):
+    # exactly singular Gram matrices reaching the solver with the rank check
+    # skipped: the fallback returns finite, bounded coefficients
+    x = np.linspace(-1.0, 1.0, 60)
+    X = np.column_stack([np.ones(60), x, 2 * x if second == "double" else np.zeros(60)])
+    y_lin = 0.5 + 0.3 * x
+    y_bin = (x > 0.2).astype(float) * 0.6 + 0.2
+    coef = glm.normal_lstsq(X, y_lin)
+    assert np.isfinite(coef).all()
+    assert np.allclose(X @ coef, y_lin)
+    lin = glm.fit_linear(X, y_lin, full_rank=True)
+    assert np.isfinite(lin.coef).all()
+    assert np.allclose(X @ lin.coef, y_lin)
+    logit_fit = glm.fit_logistic(X, y_bin, full_rank=True)
+    assert np.isfinite(logit_fit.coef).all()
+    assert np.max(np.abs(X @ logit_fit.coef)) <= 2 * glm._SEPARATION_ETA
+
+
+def test_expit_matches_the_two_branch_formula_bit_for_bit():
+    eta = np.concatenate([np.linspace(-800, 800, 4001), [0.0, -0.0, np.inf, -np.inf, np.nan],
+                          np.random.default_rng(15).normal(scale=20, size=1000)])
+    ref = np.empty_like(eta)
+    pos = eta >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    ref[~pos] = e / (1.0 + e)
+    assert np.array_equal(glm.expit(eta), ref, equal_nan=True)
+
+
+# --- rank check once per term matrix ------------------------------------------
+
+
+_entries = st.one_of(st.integers(-2, 2).map(float),
+                     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _term_matrices(draw):
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p, 12))
+    body = draw(hnp.arrays(float, (n, p - 1), elements=_entries))
+    if p > 2 and draw(st.booleans()):
+        # a near copy of another column tests the rank tolerance
+        j, k = draw(st.permutations(range(p - 1)))[:2]
+        body[:, k] = body[:, j] * (1 + draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8])))
+    return np.column_stack([np.ones(n), body])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_matrices())
+def test_column_subsets_of_a_full_rank_term_matrix_are_full_rank(T):
+    # the rule behind _fit_stack's one check per term matrix: every
+    # candidate design [1, chosen...] is a column subset of T
+    assume(not glm.design_is_singular(T))
+    rest = range(1, T.shape[1])
+    for size in range(len(rest) + 1):
+        for cols in itertools.combinations(rest, size):
+            assert not glm.design_is_singular(T[:, (0, *cols)])

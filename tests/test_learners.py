@@ -120,6 +120,77 @@ def test_outcome_deterministic(adaptr_2k):
     assert np.array_equal(q1.predict(1, adaptr_2k.w), q2.predict(1, adaptr_2k.w))
 
 
+def _constant_in_one_split(kind):
+    # w2 varies only on fold 1's rows, so it is constant (zero) inside
+    # training split 1 and that split's term matrix is rank-deficient
+    rng = np.random.default_rng(8)
+    n = 240
+    a = rng.binomial(1, 0.5, size=n)
+    fold = stratified_folds(a, 3, seed=4)
+    w1 = rng.normal(size=n)
+    w2 = np.where(fold == 1, rng.normal(size=n), 0.0)
+    p = 1 / (1 + np.exp(-(0.3 * a + 0.5 * w1 - 0.4 * w2)))
+    y = rng.binomial(1, p).astype(float) if kind == "binary" else p
+    return Dataset(w=np.column_stack([w1, w2]), a=a, y=y, covariate_names=("w1", "w2"),
+                   outcome_kind=kind)
+
+
+def _record_rank_checks(monkeypatch):
+    """Log ("check", rows) per design_is_singular call and ("fit", full_rank)
+    per fit_logistic / fit_linear call, in call order."""
+    from rcpolicy import glm
+
+    log = []
+    check, logistic, linear = glm.design_is_singular, glm.fit_logistic, glm.fit_linear
+
+    def checked(X):
+        log.append(("check", X.shape[0]))
+        return check(X)
+
+    def fit(original):
+        def logged(X, y, *, full_rank=False):
+            log.append(("fit", full_rank))
+            return original(X, y, full_rank=full_rank)
+        return logged
+
+    monkeypatch.setattr(glm, "design_is_singular", checked)
+    monkeypatch.setattr(glm, "fit_logistic", fit(logistic))
+    monkeypatch.setattr(glm, "fit_linear", fit(linear))
+    return log
+
+
+@pytest.mark.parametrize("kind", ["binary", "bounded_real"])
+def test_rank_deficient_split_warns_per_fit(kind, monkeypatch):
+    # the stack checks each split's term matrix once; in the split where
+    # w2 is constant every candidate fit checks itself, and the warnings
+    # are the ones a check per fit gives
+    ds = _constant_in_one_split(kind)
+    expected = ("glm: singular_design (fold 1)", "uni:w2: singular_design (fold 1)")
+    library = ("mean", "glm", "univariate", "step_aic")
+    log = _record_rank_checks(monkeypatch)
+    q = fit_outcome(ds, library, folds=3, seed=4)
+    assert q.warnings == expected
+    # one check per split and one on the full data; every fit in split 1
+    # (and only there) runs its own check right after it starts
+    own = [i for i, e in enumerate(log) if e == ("fit", False)]
+    assert own and all(log[i + 1][0] == "check" for i in own)
+    per_matrix = [i for i, e in enumerate(log) if e[0] == "check" and i - 1 not in own]
+    fold_rows = np.bincount(stratified_folds(ds.a, 3, seed=4), minlength=3)
+    assert [log[i][1] for i in per_matrix] == [*(ds.n - fold_rows), ds.n]
+    assert per_matrix[1] < own[0] and own[-1] < per_matrix[2]
+    b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), library, folds=3, seed=4)
+    assert b.warnings == expected
+
+
+def test_full_rank_stack_checks_rank_once_per_term_matrix(adaptr_2k, monkeypatch):
+    log = _record_rank_checks(monkeypatch)
+    fit_outcome(adaptr_2k, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=0)
+    ds = adaptr_2k
+    train_rows = ds.n - np.bincount(stratified_folds(ds.a, 5, seed=0), minlength=5)
+    assert [e for e in log if e[0] == "check"] == [("check", m) for m in (*train_rows, ds.n)]
+    assert ("fit", False) not in log
+
+
 # --- propensity --------------------------------------------------------------
 
 
