@@ -5,14 +5,15 @@ scan. Plain maximum likelihood, no penalization. Degenerate designs fall
 back to an intercept-only fit instead of raising, and the fallback is
 recorded on the returned fit so callers can surface a warning.
 
-Solver. Every OLS fit and every IRLS step solves the weighted normal
-equations X'WX b = X'Wz (`normal_lstsq`): the Gram matrix is scaled to a
-unit diagonal and factored by Cholesky. Its pivots are then sqrt(1 - R^2)
-of each column on the columns before it, and 1 / (smallest pivot)^2 is a
-lower bound on the scaled Gram's condition number. When the factorisation
-fails or a pivot is below `_MIN_PIVOT` (condition number at least 1e6,
-where the normal equations would keep fewer than about ten digits), the
-step falls back to SVD least squares on sqrt(W) X (`weighted_lstsq`).
+Solver. Every `fit_linear` fit and every IRLS step solves the weighted
+normal equations X'WX b = X'Wz (`normal_lstsq`): the Gram matrix is scaled
+to a unit diagonal and factored by Cholesky. Its pivots are then
+sqrt(1 - R^2) of each column on the columns before it, and
+1 / (smallest pivot)^2 is a lower bound on the scaled Gram's condition
+number. When the factorisation fails or a pivot is below `_MIN_PIVOT`
+(condition number at least 1e6, where the normal equations would keep
+fewer than about ten digits), the step falls back to SVD least squares
+on sqrt(W) X (`weighted_lstsq`).
 
 Rank check. A fit first asks `design_is_singular` (numpy's `matrix_rank`
 tolerance) and takes the intercept-only fallback on a rank-deficient
@@ -95,14 +96,14 @@ def normal_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> n
     """
     Xw = X if w is None else X * w[:, None]
     gram = Xw.T @ X
-    d = np.sqrt(np.diag(gram))
-    if not np.all(np.isfinite(d) & (d > 0)):
+    d = np.sqrt(gram.diagonal())
+    if not (d.min() > 0 and np.isfinite(d.max())):
         return weighted_lstsq(X, y, w)
     try:
         chol = np.linalg.cholesky(gram / np.outer(d, d))
     except np.linalg.LinAlgError:
         return weighted_lstsq(X, y, w)
-    if not np.min(np.diag(chol)) >= _MIN_PIVOT:
+    if not chol.diagonal().min() >= _MIN_PIVOT:
         return weighted_lstsq(X, y, w)
     half = np.linalg.solve(chol, (Xw.T @ y) / d)
     return np.linalg.solve(chol.T, half) / d

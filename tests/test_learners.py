@@ -183,9 +183,9 @@ def test_rank_deficient_split_warns_per_fit(kind, monkeypatch):
 
 
 def test_full_rank_stack_checks_rank_once_per_term_matrix(adaptr_2k, monkeypatch):
-    log = _record_rank_checks(monkeypatch)
-    fit_outcome(adaptr_2k, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=0)
     ds = adaptr_2k
+    log = _record_rank_checks(monkeypatch)
+    fit_outcome(ds, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=0)
     train_rows = ds.n - np.bincount(stratified_folds(ds.a, 5, seed=0), minlength=5)
     assert [e for e in log if e[0] == "check"] == [("check", m) for m in (*train_rows, ds.n)]
     assert ("fit", False) not in log
