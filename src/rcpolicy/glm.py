@@ -5,15 +5,27 @@ scan. Plain maximum likelihood, no penalization. Degenerate designs fall
 back to an intercept-only fit instead of raising, and the fallback is
 recorded on the returned fit so callers can surface a warning.
 
-Solver. Every `fit_linear` fit and every IRLS step solves the weighted
-normal equations X'WX b = X'Wz (`normal_lstsq`): the Gram matrix is scaled
-to a unit diagonal and factored by Cholesky. Its pivots are then
+Solver. Every `fit_linear` fit and every IRLS step solves normal equations
+X'WX b = r on the Gram matrix scaled to a unit diagonal (`_normal_solve`).
+A Cholesky factorisation of that matrix is the pivot check: its pivots are
 sqrt(1 - R^2) of each column on the columns before it, and
 1 / (smallest pivot)^2 is a lower bound on the scaled Gram's condition
 number. When the factorisation fails or a pivot is below `_MIN_PIVOT`
 (condition number at least 1e6, where the normal equations would keep
-fewer than about ten digits), the step falls back to SVD least squares
-on sqrt(W) X (`weighted_lstsq`).
+fewer than about ten digits), the solve falls back to SVD least squares on
+sqrt(W) X (`weighted_lstsq`); otherwise one LAPACK solve gives b. A
+one-column design skips LAPACK: its equation is a division.
+
+IRLS is Newton's method for the canonical logit link. Each step solves
+X'WX delta = X'(y - mu) with the score already computed for the stop test;
+the row weights W = mu(1 - mu) scale a p x n copy of X. A fit stops when
+max|score| / n or max|delta| falls below `_IRLS_TOL`, so its coefficients
+are accurate to about 1e-10 and fits from different starts agree only to
+about that. `fit_logistic(start=)` begins Newton at a caller's
+coefficients, the stacks' closest earlier fit. A start whose linear
+predictor exceeds `_SEPARATION_ETA` on the new rows is dropped, and a
+warm-started fit that falls back is refit from zero, so every fallback is
+the one a cold fit gives.
 
 Rank check. A fit first asks `design_is_singular` (numpy's `matrix_rank`
 tolerance) and takes the intercept-only fallback on a rank-deficient
@@ -39,6 +51,8 @@ _IRLS_TOL = 1e-10
 # Smallest Cholesky pivot of the unit-diagonal Gram matrix that the normal
 # equations accept; below it the solve goes to SVD least squares.
 _MIN_PIVOT = 1e-3
+# `gaussian_aic` reads an RSS below this share of y'y as an exact fit.
+_RSS_FLOOR = 1e-20
 
 
 @dataclass
@@ -65,7 +79,7 @@ class GlmFit:
 def expit(eta: np.ndarray) -> np.ndarray:
     # numerically safe logistic: exp of a non-positive argument only
     e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def logit(p: np.ndarray) -> np.ndarray:
@@ -87,26 +101,34 @@ def weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) ->
     return coef
 
 
-def normal_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Least-squares coefficients from the normal equations X'WX b = X'Wy.
+def _normal_solve(XwT: np.ndarray, X: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve (XwT @ X) b = rhs, or None when the pivot check rejects it.
 
-    Cholesky on the Gram matrix scaled to a unit diagonal; falls back to
-    `weighted_lstsq` when the factorisation fails or a pivot is below
-    `_MIN_PIVOT` (see the module docstring).
+    See the module docstring; XwT is the p x n transpose of X with the row
+    weights applied.
     """
-    Xw = X if w is None else X * w[:, None]
-    gram = Xw.T @ X
+    gram = XwT @ X
     d = np.sqrt(gram.diagonal())
     if not (d.min() > 0 and np.isfinite(d.max())):
-        return weighted_lstsq(X, y, w)
+        return None
+    if len(d) == 1:
+        return rhs / gram[0, 0]
+    scaled = gram / (d[:, None] * d)
     try:
-        chol = np.linalg.cholesky(gram / np.outer(d, d))
+        chol = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
-        return weighted_lstsq(X, y, w)
+        return None
     if not chol.diagonal().min() >= _MIN_PIVOT:
-        return weighted_lstsq(X, y, w)
-    half = np.linalg.solve(chol, (Xw.T @ y) / d)
-    return np.linalg.solve(chol.T, half) / d
+        return None
+    return np.linalg.solve(scaled, rhs / d) / d
+
+
+def normal_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Least-squares coefficients from the normal equations X'WX b = X'Wy,
+    with `weighted_lstsq` as the fallback (see the module docstring)."""
+    XwT = X.T if w is None else X.T * w
+    coef = _normal_solve(XwT, X, XwT @ y)
+    return weighted_lstsq(X, y, w) if coef is None else coef
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray, *, full_rank: bool = False) -> GlmFit:
@@ -124,43 +146,57 @@ def fit_linear(X: np.ndarray, y: np.ndarray, *, full_rank: bool = False) -> GlmF
     return GlmFit(coef=normal_lstsq(X, y), family="gaussian")
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, *, full_rank: bool = False) -> GlmFit:
-    """Logistic regression by IRLS.
+def fit_logistic(
+    X: np.ndarray, y: np.ndarray, *, full_rank: bool = False, start: np.ndarray | None = None
+) -> GlmFit:
+    """Logistic regression by IRLS in Newton form.
 
     y may be any values in [0, 1] (quasi-binomial working likelihood).
     Separation and non-convergence fall back to the intercept-only
     solution rather than returning runaway coefficients. full_rank=True
-    skips the rank check, as in `fit_linear`.
+    skips the rank check, as in `fit_linear`. `start` gives Newton's first
+    coefficients (see the module docstring); None starts from zero.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if not full_rank and design_is_singular(X):
         return _logistic_intercept_fallback(X, y, "singular_design")
+    XT = np.ascontiguousarray(X.T)
+    if start is not None:
+        eta = X @ start
+        if np.abs(eta).max() <= _SEPARATION_ETA:
+            fit = _newton(X, XT, y, np.array(start, dtype=float), eta)
+            if fit.fallback is None:
+                return fit
+    return _newton(X, XT, y, np.zeros(p), np.zeros(n))
 
-    beta = np.zeros(p)
-    eta = np.zeros(n)
+
+def _newton(X: np.ndarray, XT: np.ndarray, y: np.ndarray, beta: np.ndarray,
+            eta: np.ndarray) -> GlmFit:
+    """Newton iterations for the logistic score from beta (eta = X @ beta)."""
+    n = len(y)
     for it in range(1, _IRLS_MAX_ITER + 1):
         mu = expit(eta)
-        v = mu * (1.0 - mu)
-        score = X.T @ (y - mu)
-        if np.max(np.abs(score)) / n <= _IRLS_TOL:
-            if np.max(np.abs(eta)) > _SEPARATION_ETA:
+        resid = y - mu
+        score = XT @ resid
+        if np.abs(score).max() / n <= _IRLS_TOL:
+            if np.abs(eta).max() > _SEPARATION_ETA:
                 return _logistic_intercept_fallback(X, y, "separation")
             return GlmFit(coef=beta, family="binomial", n_iter=it)
-        irls_w = np.maximum(v, 1e-12)
-        z = eta + (y - mu) / irls_w
-        beta_new = normal_lstsq(X, z, irls_w)
-        if not np.all(np.isfinite(beta_new)):
+        irls_w = np.maximum(mu * (1.0 - mu), 1e-12)
+        step = _normal_solve(XT * irls_w, X, score)
+        if step is None:
+            step = weighted_lstsq(X, resid / irls_w, irls_w)
+        if not np.isfinite(step).all():
             return _logistic_intercept_fallback(X, y, "no_convergence")
-        step = beta_new - beta
-        eta = X @ beta_new
-        if np.max(np.abs(eta)) > 2 * _SEPARATION_ETA:
+        beta = beta + step
+        eta = X @ beta
+        if np.abs(eta).max() > 2 * _SEPARATION_ETA:
             # runaway linear predictor: separation in progress
             return _logistic_intercept_fallback(X, y, "separation")
-        beta = beta_new
-        if np.max(np.abs(step)) < _IRLS_TOL:
-            if np.max(np.abs(eta)) > _SEPARATION_ETA:
+        if np.abs(step).max() < _IRLS_TOL:
+            if np.abs(eta).max() > _SEPARATION_ETA:
                 return _logistic_intercept_fallback(X, y, "separation")
             return GlmFit(coef=beta, family="binomial", n_iter=it)
     return _logistic_intercept_fallback(X, y, "no_convergence")
@@ -196,8 +232,9 @@ def _logistic_intercept_fallback(X: np.ndarray, y: np.ndarray, reason: str) -> G
 def gaussian_aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
     resid = y - X @ fit.coef
     n = len(y)
-    rss = float(resid @ resid)
-    rss = max(rss, 1e-300)
+    # an exact fit's RSS is rounding noise; flooring it relative to y's
+    # scale makes every exact model tie, so stepwise stops at the first one
+    rss = max(float(resid @ resid), _RSS_FLOOR * float(y @ y), 1e-300)
     return n * np.log(rss / n) + 2 * X.shape[1]
 
 
@@ -227,10 +264,10 @@ def forward_stepwise_aic(
     n = len(y)
     ones = np.ones((n, 1))
 
-    def fit_on(idx: list[int]) -> tuple[GlmFit, float]:
+    def fit_on(idx: list[int], start: np.ndarray | None = None) -> tuple[GlmFit, float]:
         X = np.hstack([ones] + [candidate_cols[j][:, None] for j in idx]) if idx else ones
         if family == "binomial":
-            f = fit_logistic(X, y, full_rank=full_rank)
+            f = fit_logistic(X, y, full_rank=full_rank, start=start)
             return f, binomial_aic(X, y, f)
         f = fit_linear(X, y, full_rank=full_rank)
         return f, gaussian_aic(X, y, f)
@@ -239,7 +276,9 @@ def forward_stepwise_aic(
     best_fit, best_aic = fit_on(chosen)
     remaining = list(range(len(candidate_cols)))
     while remaining and len(chosen) < max_terms:
-        trial = [(j, *fit_on(chosen + [j])) for j in remaining]
+        # a logistic trial starts from the current model, 0 for the new term
+        start = None if best_fit.fallback else np.append(best_fit.coef, 0.0)
+        trial = [(j, *fit_on(chosen + [j], start)) for j in remaining]
         j_best, f_best, aic_best = min(trial, key=lambda t: t[2])
         if aic_best < best_aic - 1e-12:
             chosen.append(j_best)

@@ -161,9 +161,10 @@ def _candidate_terms(
 
 def _fit_candidate(
     spec: str, terms: tuple[int, ...] | None, T: np.ndarray, y: np.ndarray, family: str,
-    full_rank: bool,
+    full_rank: bool, start: np.ndarray | None,
 ) -> LinearScorer:
-    """Fit one candidate on term matrix T; full_rank says T passed the rank check."""
+    """Fit one candidate on term matrix T; full_rank says T passed the rank
+    check, and a logistic fit with fixed terms starts from `start`."""
     if terms is None:
         # stepwise: pool of non-intercept terms, greedy AIC selection
         pool = list(range(1, T.shape[1]))
@@ -174,7 +175,7 @@ def _fit_candidate(
         return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
     X = T[:, terms]
     if family == "binomial":
-        fit = glm.fit_logistic(X, y, full_rank=full_rank)
+        fit = glm.fit_logistic(X, y, full_rank=full_rank, start=start)
     else:
         fit = glm.fit_linear(X, y, full_rank=full_rank)
     return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
@@ -211,7 +212,9 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind
 
     Every candidate design is a column subset of T (column 0 is the
     intercept), so the rank check runs once per training split and once
-    on T; see the `glm` module docstring.
+    on T; see the `glm` module docstring. Each candidate's fit that did not
+    fall back is the start of its next fit: the next training split's, and
+    after the last split the full-data refit's.
     """
     from .simplex import simplex_lstsq
 
@@ -222,21 +225,24 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind
     terms = [_candidate_terms(spec, ds.covariate_names, kind) for spec in specs]
     Z = np.empty((len(y), len(specs)))
     warnings: list[str] = []
+    starts: list[np.ndarray | None] = [None] * len(specs)
     for v in np.unique(fold_id):
         train = fold_id != v
         val = ~train
         T_train, y_train, T_val = T[train], y[train], T[val]
         full_rank = not glm.design_is_singular(T_train)
         for j, spec in enumerate(specs):
-            scorer = _fit_candidate(spec, terms[j], T_train, y_train, family, full_rank)
+            scorer = _fit_candidate(spec, terms[j], T_train, y_train, family, full_rank,
+                                    starts[j])
             if scorer.fallback:
                 warnings.append(f"{spec}: {scorer.fallback} (fold {v})")
+            starts[j] = None if scorer.fallback else scorer.coef
             Z[val, j] = scorer.predict_terms(T_val)
     weights = simplex_lstsq(Z, y)
     full_rank = not glm.design_is_singular(T)
     fitted = []
-    for spec, cols in zip(specs, terms):
-        scorer = _fit_candidate(spec, cols, T, y, family, full_rank)
+    for spec, cols, start in zip(specs, terms, starts):
+        scorer = _fit_candidate(spec, cols, T, y, family, full_rank, start)
         if scorer.fallback:
             warnings.append(f"{spec}: {scorer.fallback} (full fit)")
         fitted.append(scorer)

@@ -193,7 +193,9 @@ def test_singular_gram_never_gives_runaway_coefficients(second):
 
 
 def test_expit_matches_the_two_branch_formula_bit_for_bit():
+    tiny = np.finfo(float).smallest_subnormal
     eta = np.concatenate([np.linspace(-800, 800, 4001), [0.0, -0.0, np.inf, -np.inf, np.nan],
+                          [750.0, -750.0, tiny, -tiny, 1e-310, -1e-310],
                           np.random.default_rng(15).normal(scale=20, size=1000)])
     ref = np.empty_like(eta)
     pos = eta >= 0
@@ -201,6 +203,111 @@ def test_expit_matches_the_two_branch_formula_bit_for_bit():
     e = np.exp(eta[~pos])
     ref[~pos] = e / (1.0 + e)
     assert np.array_equal(glm.expit(eta), ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_one_column_design_is_a_division_that_matches_lstsq(weighted, monkeypatch):
+    # p = 1 (the `mean` candidate, stepwise's start) never reaches LAPACK
+    rng = np.random.default_rng(16)
+    n = 660
+    w = rng.uniform(0.01, 0.25, n) if weighted else None
+    fallbacks = _count_lstsq_fallbacks(monkeypatch)
+    for col in (np.ones(n), rng.normal(size=n), rng.uniform(1e3, 1e4, n)):
+        X = col[:, None]
+        y = rng.normal(size=n) + 2.0 * col
+        sw = np.ones(n) if w is None else np.sqrt(w)
+        ref = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", None)
+            m.setattr(np.linalg, "solve", None)
+            coef = glm.normal_lstsq(X, y, w)
+        assert coef.shape == (1,)
+        assert abs(coef[0] - ref[0]) <= 1e-15 * abs(ref[0])
+    assert fallbacks == []
+    # a zero column fails the d > 0 guard and goes to lstsq
+    assert np.array_equal(glm.normal_lstsq(np.zeros((n, 1)), y, w), [0.0])
+    assert fallbacks == [(n, 1)]
+
+
+# --- warm starts ----------------------------------------------------------------
+
+
+@st.composite
+def _logistic_problems(draw):
+    """A design with an intercept, a 0/1 or fractional response, and a start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 200))
+    p = draw(st.integers(1, 5))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1)) * draw(st.sampled_from([0.1, 1, 3]))])
+    kind = draw(st.sampled_from(["binomial", "fractional", "separated", "singular"]))
+    beta = rng.normal(size=p)
+    mu = expit(X @ beta)
+    if kind == "fractional":
+        y = mu
+    elif kind == "separated" and p > 1:
+        y = (X[:, 1] > np.median(X[:, 1])).astype(float)
+    else:
+        y = rng.binomial(1, mu).astype(float)
+    if kind == "singular" and p > 1:
+        X = np.column_stack([X, 2.0 * X[:, -1]])
+    # starts as the stacks make them: a fit on overlapping rows, or the
+    # current stepwise model with 0 for the new term, or a small draw
+    how = draw(st.sampled_from(["subset", "stepwise", "small"]))
+    if how == "subset":
+        keep = rng.permutation(n)[: max(X.shape[1] + 1, int(n * draw(st.floats(0.5, 0.95))))]
+        start = glm.fit_logistic(X[keep], y[keep]).coef
+    elif how == "stepwise":
+        start = np.append(glm.fit_logistic(X[:, :-1], y).coef, 0.0) if X.shape[1] > 1 else None
+    else:
+        start = rng.normal(scale=draw(st.sampled_from([0.01, 0.3, 1.0])), size=X.shape[1])
+    return X, y, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logistic_problems())
+def test_a_start_changes_neither_the_fit_nor_the_fallback(problem):
+    X, y, start = problem
+    cold = glm.fit_logistic(X, y)
+    warm = glm.fit_logistic(X, y, start=start)
+    assert warm.fallback == cold.fallback
+    if cold.fallback is None:
+        assert np.allclose(warm.coef, cold.coef, rtol=1e-8, atol=1e-8)
+    else:
+        assert np.array_equal(warm.coef, cold.coef)
+
+
+def test_start_beyond_the_separation_bound_is_dropped():
+    rng = np.random.default_rng(17)
+    n = 300
+    X = np.column_stack([np.ones(n), rng.normal(size=n)])
+    y = rng.binomial(1, expit(X @ np.array([0.2, 0.8]))).astype(float)
+    cold = glm.fit_logistic(X, y)
+    assert cold.n_iter > 2
+    # from its own solution Newton stops at the first score test
+    assert glm.fit_logistic(X, y, start=cold.coef).n_iter == 1
+    far = np.array([0.0, 1.01 * glm._SEPARATION_ETA / np.max(np.abs(X[:, 1]))])
+    dropped = glm.fit_logistic(X, y, start=far)
+    assert np.array_equal(dropped.coef, cold.coef)
+    assert dropped.n_iter == cold.n_iter
+    for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+        assert np.array_equal(glm.fit_logistic(X, y, start=np.array(bad)).coef, cold.coef)
+
+
+def test_exact_fit_stepwise_stops_at_the_first_exact_term(monkeypatch):
+    # y = A is fit exactly by every model holding A; with the RSS floor all
+    # of them tie, so the smallest one wins and stepwise stops there
+    rng = np.random.default_rng(18)
+    n = 500
+    a = rng.binomial(1, 0.5, n).astype(float)
+    w = rng.normal(size=(n, 2))
+    cols = [w[:, 0], a, w[:, 1], a * w[:, 0], a * w[:, 1]]
+    chosen, fit = glm.forward_stepwise_aic(cols, a, "gaussian")
+    assert chosen == [1]
+    assert np.allclose(fit.coef, [0.0, 1.0], atol=1e-12)
+    fallbacks = _count_lstsq_fallbacks(monkeypatch)
+    monkeypatch.setattr(glm, "_normal_solve", lambda XwT, X, rhs: None)
+    assert glm.forward_stepwise_aic(cols, a, "gaussian")[0] == [1]
+    assert fallbacks  # every fit went through lstsq
 
 
 # --- rank check once per term matrix ------------------------------------------

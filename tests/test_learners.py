@@ -148,9 +148,9 @@ def _record_rank_checks(monkeypatch):
         return check(X)
 
     def fit(original):
-        def logged(X, y, *, full_rank=False):
+        def logged(X, y, *, full_rank=False, **kwargs):
             log.append(("fit", full_rank))
-            return original(X, y, full_rank=full_rank)
+            return original(X, y, full_rank=full_rank, **kwargs)
         return logged
 
     monkeypatch.setattr(glm, "design_is_singular", checked)
@@ -189,6 +189,59 @@ def test_full_rank_stack_checks_rank_once_per_term_matrix(adaptr_2k, monkeypatch
     train_rows = ds.n - np.bincount(stratified_folds(ds.a, 5, seed=0), minlength=5)
     assert [e for e in log if e[0] == "check"] == [("check", m) for m in (*train_rows, ds.n)]
     assert ("fit", False) not in log
+
+
+def _stack_run(monkeypatch, ds, library, cold):
+    """Stepwise picks in call order and the two stacks; cold strips every
+    logistic start."""
+    from rcpolicy import glm
+
+    picks = []
+    stepwise, logistic = glm.forward_stepwise_aic, glm.fit_logistic
+
+    def logged(*args, **kwargs):
+        chosen, fit = stepwise(*args, **kwargs)
+        picks.append(tuple(chosen))
+        return chosen, fit
+
+    def no_start(X, y, *, start=None, **kwargs):
+        return logistic(X, y, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(glm, "forward_stepwise_aic", logged)
+        if cold:
+            m.setattr(glm, "fit_logistic", no_start)
+        q = fit_outcome(ds, library, folds=3, seed=5)
+        b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), library, folds=3, seed=6)
+    return picks, q, b
+
+
+@pytest.mark.parametrize("draw", ["adaptr_2k", "separation_prone"])
+def test_warm_starts_change_no_warning_or_stepwise_pick(draw, adaptr_2k, monkeypatch):
+    # the separation-prone draw separates in two of three training splits
+    ds = adaptr_2k if draw == "adaptr_2k" else generate(one_interaction(seed=1063), 60)
+    library = ("mean", "glm", "univariate", "step_aic")
+    warm_picks, q, b = _stack_run(monkeypatch, ds, library, cold=False)
+    cold_picks, q_cold, b_cold = _stack_run(monkeypatch, ds, library, cold=True)
+    assert warm_picks == cold_picks and len(warm_picks) == 8
+    assert q.warnings == q_cold.warnings and b.warnings == b_cold.warnings
+    if draw == "separation_prone":
+        assert sum("separation" in w for w in q.warnings) >= 2
+    for fit, ref in ((q.predict(1, ds.w), q_cold.predict(1, ds.w)),
+                     (b.predict(ds.w), b_cold.predict(ds.w))):
+        assert np.allclose(fit, ref, rtol=1e-8, atol=1e-10)
+
+
+def test_outcome_equal_to_treatment_is_fit_by_treatment_alone(monkeypatch):
+    # the icer cost side: a cost that is exactly A. Every stepwise call
+    # stops at A (pool index 0), with and without logistic starts
+    ds = generate(adaptr_like(seed=12), 600)
+    ds_a = Dataset(w=ds.w, a=ds.a, y=ds.a.astype(float), covariate_names=ds.covariate_names,
+                   outcome_kind="bounded_real", y_bounds=(0.0, 1.0))
+    for cold in (False, True):
+        picks, q, _ = _stack_run(monkeypatch, ds_a, ("mean", "step_aic"), cold)
+        assert picks[:4] == [(0,)] * 4  # three splits and the full fit, outcome stack
+        assert q.candidates[1].terms == (0, 1)
 
 
 # --- propensity --------------------------------------------------------------
