@@ -238,7 +238,8 @@ def _logistic_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(20, 200))
     p = draw(st.integers(1, 5))
-    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1)) * draw(st.sampled_from([0.1, 1, 3]))])
+    scale = draw(st.sampled_from([0.1, 1, 3]))
+    X = np.column_stack([np.ones(n), scale * rng.normal(size=(n, p - 1))])
     kind = draw(st.sampled_from(["binomial", "fractional", "separated", "singular"]))
     beta = rng.normal(size=p)
     mu = expit(X @ beta)
