@@ -308,7 +308,7 @@ def test_exact_fit_stepwise_stops_at_the_first_exact_term(monkeypatch):
     fallbacks = _count_lstsq_fallbacks(monkeypatch)
     monkeypatch.setattr(glm, "_normal_solve", lambda XwT, X, rhs: None)
     assert glm.forward_stepwise_aic(cols, a, "gaussian")[0] == [1]
-    assert fallbacks  # every fit went through lstsq
+    assert fallbacks  # the fits went through lstsq
 
 
 # --- rank check once per term matrix ------------------------------------------
