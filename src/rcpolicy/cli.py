@@ -51,6 +51,8 @@ _DGP_FACTORIES = {
     "one_interaction": one_interaction,
 }
 
+_MAX_KAPPAS = 10_001  # a budget grid's points, 0:1:0.0001 at most
+
 # command keys that fall back to a value when neither JSON nor a flag sets them
 _DEFAULTS = {
     "simulate": {"kappa_grid": "0:1:0.1", "no_cost": False},
@@ -119,7 +121,8 @@ def _emit_csv(header: list[str], rows, out: str | None, meta: dict | None = None
 
 
 def parse_kappa_grid(text: str) -> list[float]:
-    """Inclusive start:end:step grid; the step must divide the range."""
+    """Inclusive start:end:step grid of at most `_MAX_KAPPAS` points; the
+    step must divide the range."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"--kappa-grid expects start:end:step, got {text!r}")
@@ -127,11 +130,15 @@ def parse_kappa_grid(text: str) -> list[float]:
         start, end, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"--kappa-grid has a non-numeric part: {text!r}") from None
+    if not all(map(math.isfinite, (start, end, step))):
+        raise CliError(f"--kappa-grid has a non-finite part: {text!r}")
     if step <= 0:
         raise CliError("--kappa-grid step must be positive")
     if end < start:
         raise CliError("--kappa-grid end must be >= start")
     count = (end - start) / step
+    if count >= _MAX_KAPPAS - 0.5:  # before any list is built; a tiny step gives inf
+        raise CliError(f"--kappa-grid {text!r} has more than {_MAX_KAPPAS} points")
     m = round(count)
     if abs(count - m) > 1e-9:
         raise CliError(f"--kappa-grid step {step:g} does not divide the range [{start:g}, {end:g}]")

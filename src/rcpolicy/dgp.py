@@ -100,8 +100,10 @@ class DgpSpec:
                 raise ValueError("blip_range must have lo < hi")
             if self.baseline < 0 or self.baseline + max(hi, 0.0) > 1:
                 raise ValueError("baseline + blip must stay within [0, 1]")
-        if self.cost_noise_sd < 0:
-            raise ValueError("cost_noise_sd must be >= 0")
+        for name in ("unit_cost", "cost_noise_sd"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def masses(self) -> np.ndarray:

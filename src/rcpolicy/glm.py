@@ -16,6 +16,14 @@ fewer than about ten digits), the solve falls back to SVD least squares on
 sqrt(W) X (`weighted_lstsq`); otherwise one LAPACK solve gives b. A
 one-column design skips LAPACK: its equation is a division.
 
+Rank. The pivot check is the rank check: a design that passes it has full
+rank, and rescaling a column (a covariate's units) changes neither the
+scaled Gram matrix nor the verdict. A fit asks `design_is_singular`
+(numpy's `matrix_rank` tolerance) only when it would otherwise go on
+without a passed check: its first solve is rejected, or Newton converges
+before its first solve. A rank-deficient design takes the intercept-only
+fallback.
+
 IRLS is Newton's method for the canonical logit link. Each step solves
 X'WX delta = X'(y - mu) with the score already computed for the stop test;
 the row weights W = mu(1 - mu) scale a p x n copy of X. A fit stops when
@@ -26,14 +34,6 @@ coefficients, the stacks' closest earlier fit. A start whose linear
 predictor exceeds `_SEPARATION_ETA` on the new rows is dropped, and a
 warm-started fit that falls back is refit from zero, so every fallback is
 the one a cold fit gives.
-
-Rank check. A fit first asks `design_is_singular` (numpy's `matrix_rank`
-tolerance) and takes the intercept-only fallback on a rank-deficient
-design. A caller fitting many column subsets of one term matrix T can run
-the check once on T and pass `full_rank=True`: by singular-value
-interlacing a column subset has a smallest singular value no smaller and a
-largest no larger than T's, so it passes the same tolerance whenever T
-does. When T fails the check, every fit must check itself.
 """
 from __future__ import annotations
 
@@ -123,70 +123,73 @@ def _normal_solve(XwT: np.ndarray, X: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return np.linalg.solve(scaled, rhs / d) / d
 
 
-def normal_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Least-squares coefficients from the normal equations X'WX b = X'Wy,
-    with `weighted_lstsq` as the fallback (see the module docstring)."""
-    XwT = X.T if w is None else X.T * w
-    coef = _normal_solve(XwT, X, XwT @ y)
-    return weighted_lstsq(X, y, w) if coef is None else coef
+def fit(X: np.ndarray, y: np.ndarray, family: str, start: np.ndarray | None = None) -> GlmFit:
+    """`fit_logistic` for the "binomial" family, else `fit_linear`, which
+    takes no start."""
+    if family == "binomial":
+        return fit_logistic(X, y, start=start)
+    return fit_linear(X, y)
 
 
-def fit_linear(X: np.ndarray, y: np.ndarray, *, full_rank: bool = False) -> GlmFit:
-    """Ordinary least squares with a singularity fallback.
-
-    full_rank=True skips the rank check; pass it only when X is a column
-    subset of a matrix that passed `design_is_singular`.
-    """
+def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
+    """Ordinary least squares with a singularity fallback."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not full_rank and design_is_singular(X):
-        coef = np.zeros(X.shape[1])
-        coef[_intercept_col(X)] = float(np.mean(y))
-        return GlmFit(coef=coef, family="gaussian", fallback="singular_design")
-    return GlmFit(coef=normal_lstsq(X, y), family="gaussian")
+    coef = _normal_solve(X.T, X, X.T @ y)
+    if coef is None:
+        if design_is_singular(X):
+            coef = np.zeros(X.shape[1])
+            coef[_intercept_col(X)] = float(np.mean(y))
+            return GlmFit(coef=coef, family="gaussian", fallback="singular_design")
+        coef = weighted_lstsq(X, y)
+    return GlmFit(coef=coef, family="gaussian")
 
 
-def fit_logistic(
-    X: np.ndarray, y: np.ndarray, *, full_rank: bool = False, start: np.ndarray | None = None
-) -> GlmFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray, *, start: np.ndarray | None = None) -> GlmFit:
     """Logistic regression by IRLS in Newton form.
 
     y may be any values in [0, 1] (quasi-binomial working likelihood).
-    Separation and non-convergence fall back to the intercept-only
-    solution rather than returning runaway coefficients. full_rank=True
-    skips the rank check, as in `fit_linear`. `start` gives Newton's first
-    coefficients (see the module docstring); None starts from zero.
+    Singular designs, separation and non-convergence fall back to the
+    intercept-only solution rather than returning runaway coefficients.
+    `start` gives Newton's first coefficients (see the module docstring);
+    None starts from zero.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if not full_rank and design_is_singular(X):
-        return _logistic_intercept_fallback(X, y, "singular_design")
     XT = np.ascontiguousarray(X.T)
     if start is not None:
         eta = X @ start
         if np.abs(eta).max() <= _SEPARATION_ETA:
-            fit = _newton(X, XT, y, np.array(start, dtype=float), eta)
-            if fit.fallback is None:
-                return fit
+            warm = _newton(X, XT, y, np.array(start, dtype=float), eta)
+            if warm.fallback is None:
+                return warm
     return _newton(X, XT, y, np.zeros(p), np.zeros(n))
 
 
 def _newton(X: np.ndarray, XT: np.ndarray, y: np.ndarray, beta: np.ndarray,
             eta: np.ndarray) -> GlmFit:
-    """Newton iterations for the logistic score from beta (eta = X @ beta)."""
+    """Newton iterations for the logistic score from beta (eta = X @ beta).
+
+    The rank is known from the second iteration on: the first step either
+    passed the pivot check or, rejected, asked `design_is_singular`.
+    """
     n = len(y)
     for it in range(1, _IRLS_MAX_ITER + 1):
         mu = expit(eta)
         resid = y - mu
         score = XT @ resid
         if np.abs(score).max() / n <= _IRLS_TOL:
+            if it == 1 and design_is_singular(X):
+                return _logistic_intercept_fallback(X, y, "singular_design")
             if np.abs(eta).max() > _SEPARATION_ETA:
                 return _logistic_intercept_fallback(X, y, "separation")
             return GlmFit(coef=beta, family="binomial", n_iter=it)
         irls_w = np.maximum(mu * (1.0 - mu), 1e-12)
         step = _normal_solve(XT * irls_w, X, score)
         if step is None:
+            if it == 1 and design_is_singular(X):
+                return _logistic_intercept_fallback(X, y, "singular_design")
             step = weighted_lstsq(X, resid / irls_w, irls_w)
         if not np.isfinite(step).all():
             return _logistic_intercept_fallback(X, y, "no_convergence")
@@ -211,25 +214,21 @@ def _intercept_col(X: np.ndarray) -> int:
 
 
 def _logistic_intercept_fallback(X: np.ndarray, y: np.ndarray, reason: str) -> GlmFit:
-    """Intercept-only logistic fit (1-D Newton), used when the full fit fails."""
-    n = X.shape[0]
-    eps = 0.0
-    for _ in range(_IRLS_MAX_ITER):
-        mu = expit(np.full(n, eps))
-        grad = float(np.sum(y - mu))
-        if abs(grad) / n <= _IRLS_TOL:
-            break
-        hess = -float(np.sum(mu * (1.0 - mu)))
-        if hess >= -1e-300:
-            break
-        eps -= grad / hess
-        eps = float(np.clip(eps, -_SEPARATION_ETA, _SEPARATION_ETA))
+    """Intercept-only logistic fit, used when the full fit fails: its score
+    equation's root logit(mean y), clipped to the separation bound."""
+    with np.errstate(divide="ignore"):  # a mean of 0 or 1 has an infinite logit
+        eps = float(np.clip(logit(np.mean(y)), -_SEPARATION_ETA, _SEPARATION_ETA))
     coef = np.zeros(X.shape[1])
     coef[_intercept_col(X)] = eps
     return GlmFit(coef=coef, family="binomial", fallback=reason)
 
 
-def gaussian_aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
+def aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
+    """AIC of `fit` on (X, y) under its family's likelihood."""
+    if fit.family == "binomial":
+        p = np.clip(fit.predict(X), 1e-12, 1 - 1e-12)
+        ll = float(np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))
+        return -2 * ll + 2 * X.shape[1]
     resid = y - X @ fit.coef
     n = len(y)
     # an exact fit's RSS is rounding noise; flooring it relative to y's
@@ -238,39 +237,23 @@ def gaussian_aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
     return n * np.log(rss / n) + 2 * X.shape[1]
 
 
-def binomial_aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
-    p = np.clip(fit.predict(X), 1e-12, 1 - 1e-12)
-    ll = float(np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))
-    return -2 * ll + 2 * X.shape[1]
-
-
 def forward_stepwise_aic(
-    candidate_cols: list[np.ndarray],
-    y: np.ndarray,
-    family: str,
-    max_terms: int = 5,
-    *,
-    full_rank: bool = False,
+    candidate_cols: list[np.ndarray], y: np.ndarray, family: str, max_terms: int = 5
 ) -> tuple[list[int], GlmFit]:
     """Greedy forward selection by AIC over candidate columns.
 
     Starts from the intercept-only model and adds at most `max_terms`
     columns, each time taking the single addition that lowers AIC most.
     Returns the chosen column indices (into candidate_cols) and the fit
-    on [intercept, chosen columns]. full_rank=True skips every fit's rank
-    check; pass it only when [1, candidate_cols...] passed
-    `design_is_singular`.
+    on [intercept, chosen columns].
     """
     n = len(y)
     ones = np.ones((n, 1))
 
     def fit_on(idx: list[int], start: np.ndarray | None = None) -> tuple[GlmFit, float]:
         X = np.hstack([ones] + [candidate_cols[j][:, None] for j in idx]) if idx else ones
-        if family == "binomial":
-            f = fit_logistic(X, y, full_rank=full_rank, start=start)
-            return f, binomial_aic(X, y, f)
-        f = fit_linear(X, y, full_rank=full_rank)
-        return f, gaussian_aic(X, y, f)
+        f = fit(X, y, family, start)
+        return f, aic(X, y, f)
 
     chosen: list[int] = []
     best_fit, best_aic = fit_on(chosen)

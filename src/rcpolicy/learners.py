@@ -85,15 +85,10 @@ def stratified_folds(a: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
 class LinearScorer:
     name: str
     terms: tuple[int, ...]  # columns of the term matrix
-    coef: np.ndarray
-    family: str  # "gaussian" or "binomial"
-    fallback: str | None = None
+    fit: glm.GlmFit  # coef aligns with terms
 
     def predict_terms(self, T: np.ndarray) -> np.ndarray:
-        eta = T[:, self.terms] @ self.coef
-        if self.family == "binomial":
-            return glm.expit(eta)
-        return eta
+        return self.fit.predict(T[:, self.terms])
 
 
 def _outcome_terms(a, w: np.ndarray) -> np.ndarray:
@@ -161,24 +156,17 @@ def _candidate_terms(
 
 def _fit_candidate(
     spec: str, terms: tuple[int, ...] | None, T: np.ndarray, y: np.ndarray, family: str,
-    full_rank: bool, start: np.ndarray | None,
+    start: np.ndarray | None,
 ) -> LinearScorer:
-    """Fit one candidate on term matrix T; full_rank says T passed the rank
-    check, and a logistic fit with fixed terms starts from `start`."""
+    """Fit one candidate on term matrix T; a logistic fit with fixed terms
+    starts from `start`."""
     if terms is None:
         # stepwise: pool of non-intercept terms, greedy AIC selection
         pool = list(range(1, T.shape[1]))
         cols = [T[:, j] for j in pool]
-        chosen, fit = glm.forward_stepwise_aic(cols, y, family, STEPWISE_MAX_TERMS,
-                                               full_rank=full_rank)
-        terms = (0, *[pool[j] for j in chosen])
-        return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
-    X = T[:, terms]
-    if family == "binomial":
-        fit = glm.fit_logistic(X, y, full_rank=full_rank, start=start)
-    else:
-        fit = glm.fit_linear(X, y, full_rank=full_rank)
-    return LinearScorer(spec, terms, fit.coef, family, fit.fallback)
+        chosen, fit = glm.forward_stepwise_aic(cols, y, family, STEPWISE_MAX_TERMS)
+        return LinearScorer(spec, (0, *[pool[j] for j in chosen]), fit)
+    return LinearScorer(spec, terms, glm.fit(T[:, terms], y, family, start))
 
 
 @dataclass(frozen=True)
@@ -211,10 +199,9 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind
     candidate predictions, simplex weights, full-data refits.
 
     Every candidate design is a column subset of T (column 0 is the
-    intercept), so the rank check runs once per training split and once
-    on T; see the `glm` module docstring. Each candidate's fit that did not
-    fall back is the start of its next fit: the next training split's, and
-    after the last split the full-data refit's.
+    intercept). Each candidate's fit that did not fall back is the start
+    of its next fit: the next training split's, and after the last split
+    the full-data refit's.
     """
     from .simplex import simplex_lstsq
 
@@ -230,21 +217,19 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind
         train = fold_id != v
         val = ~train
         T_train, y_train, T_val = T[train], y[train], T[val]
-        full_rank = not glm.design_is_singular(T_train)
         for j, spec in enumerate(specs):
-            scorer = _fit_candidate(spec, terms[j], T_train, y_train, family, full_rank,
-                                    starts[j])
-            if scorer.fallback:
-                warnings.append(f"{spec}: {scorer.fallback} (fold {v})")
-            starts[j] = None if scorer.fallback else scorer.coef
+            scorer = _fit_candidate(spec, terms[j], T_train, y_train, family, starts[j])
+            fallback = scorer.fit.fallback
+            if fallback:
+                warnings.append(f"{spec}: {fallback} (fold {v})")
+            starts[j] = None if fallback else scorer.fit.coef
             Z[val, j] = scorer.predict_terms(T_val)
     weights = simplex_lstsq(Z, y)
-    full_rank = not glm.design_is_singular(T)
     fitted = []
     for spec, cols, start in zip(specs, terms, starts):
-        scorer = _fit_candidate(spec, cols, T, y, family, full_rank, start)
-        if scorer.fallback:
-            warnings.append(f"{spec}: {scorer.fallback} (full fit)")
+        scorer = _fit_candidate(spec, cols, T, y, family, start)
+        if scorer.fit.fallback:
+            warnings.append(f"{spec}: {scorer.fit.fallback} (full fit)")
         fitted.append(scorer)
     return cls(
         candidates=tuple(fitted),
@@ -300,7 +285,7 @@ class PropensityModel:
     mode: str  # "known_constant" or "estimated"
     g_min: float
     constant: float | None = None
-    scorer: LinearScorer | None = None
+    fit: glm.GlmFit | None = None  # logistic on the [1, W] design
     warnings: tuple[str, ...] = ()
 
     def predict(self, w: np.ndarray) -> np.ndarray:
@@ -308,8 +293,9 @@ class PropensityModel:
         if self.mode == "known_constant":
             out = np.full(w.shape[0], float(self.constant))
         else:
-            T = _blip_terms(w)  # [1, W] design
-            out = self.scorer.predict_terms(T)
+            # column-major, like a stack candidate's T[:, terms], so both
+            # kinds of linear predictor round the same way
+            out = self.fit.predict(np.asfortranarray(_blip_terms(w)))
         return np.clip(out, self.g_min, 1.0 - self.g_min)
 
 
@@ -341,8 +327,7 @@ def fit_propensity(
                 warnings=("single-arm data: reverted to known value",),
             )
         raise ValueError("single-arm dataset: cannot estimate the treatment mechanism")
-    T = _blip_terms(ds.w)
-    fit = glm.fit_logistic(T, ds.a.astype(float))
+    fit = glm.fit_logistic(_blip_terms(ds.w), ds.a.astype(float))
     if fit.fallback is not None:
         fallback_value = known_value if known_value is not None else float(np.mean(ds.a))
         return PropensityModel(
@@ -351,8 +336,7 @@ def fit_propensity(
             constant=fallback_value,
             warnings=(f"propensity fit fell back ({fit.fallback}); using constant",),
         )
-    scorer = LinearScorer("glm", tuple(range(T.shape[1])), fit.coef, "binomial")
-    return PropensityModel(mode="estimated", g_min=g_min, scorer=scorer)
+    return PropensityModel(mode="estimated", g_min=g_min, fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +372,7 @@ class BlipModel(_Stack):
             "ensemble_cv_risk": self.ensemble_cv_risk,
             "warnings": list(self.warnings),
             "candidates": [
-                {"name": c.name, "terms": list(c.terms), "coef": [float(x) for x in c.coef]}
+                {"name": c.name, "terms": list(c.terms), "coef": [float(x) for x in c.fit.coef]}
                 for c in self.candidates
             ],
         }
@@ -396,12 +380,8 @@ class BlipModel(_Stack):
     @classmethod
     def from_dict(cls, d: dict) -> "BlipModel":
         cands = tuple(
-            LinearScorer(
-                name=c["name"],
-                terms=tuple(c["terms"]),
-                coef=np.asarray(c["coef"], dtype=float),
-                family="gaussian",
-            )
+            LinearScorer(c["name"], tuple(c["terms"]),
+                         glm.GlmFit(np.asarray(c["coef"], dtype=float), "gaussian"))
             for c in d["candidates"]
         )
         return cls(

@@ -81,6 +81,33 @@ def test_parse_kappa_grid():
         parse_kappa_grid("0.5:1.5:0.5")
 
 
+# every bad grid is a validation error found before any grid is built: a
+# 1e-300 step would otherwise ask for ~1e300 budgets
+@pytest.mark.parametrize("grid, message", [
+    ("0:inf:1", "non-finite"), ("0:1:nan", "non-finite"), ("0:-inf:0.5", "non-finite"),
+    ("0:1:1e-300", "more than 10001 points"), ("0:1:5e-324", "more than 10001 points"),
+    ("0:1:0.00005", "more than 10001 points"),
+])
+@pytest.mark.parametrize("command", ["evaluate", "msm", "icer", "fit-rule", "simulate"])
+def test_bad_kappa_grid_exits_1_naming_the_flag(command, grid, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    if command == "simulate":
+        argv = ["simulate", "--dgp", "null_effect", "--n", "20", "--out", str(tmp_path / "s.csv"),
+                "--oracle", str(out), "--kappa-grid", grid]
+    else:
+        flag = "--kappa" if command == "fit-rule" else "--kappa-grid"
+        argv = [command, "--data", str(tmp_path / "absent.csv"), flag, grid, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--kappa-grid" in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kappa_grid_of_10001_points_is_accepted():
+    grid = parse_kappa_grid("0:1:0.0001")
+    assert len(grid) == 10001 and grid[-1] == 1.0
+
+
 # --- simulate -------------------------------------------------------------------
 
 
@@ -145,6 +172,19 @@ def test_simulate_rejects_bad_kappa_grid_without_oracle(tmp_path, capsys):
                  "--kappa-grid", "0:1:0.3"])
     assert code == 1
     assert "--kappa-grid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# NaN fails every comparison, so a bare `< 0` check would let it through
+@pytest.mark.parametrize("flag, value", [("--cost-noise-sd", "nan"), ("--cost-noise-sd", "-1"),
+                                         ("--cost-noise-sd", "inf"), ("--unit-cost", "nan"),
+                                         ("--unit-cost", "inf"), ("--unit-cost", "-5")])
+def test_simulate_rejects_a_bad_cost_field_before_writing(flag, value, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    code = main(["simulate", "--dgp", "adaptr_like", "--n", "20", "--out", str(out),
+                 flag, value])
+    assert code == 1
+    assert flag[2:].replace("-", "_") + " must be finite and >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,10 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from rcpolicy import glm
@@ -117,6 +114,12 @@ def _count_lstsq_fallbacks(monkeypatch):
     return calls
 
 
+def _normal_solve(X, y, w=None):
+    """The weighted least-squares problem's normal-equations solve, or None."""
+    XwT = X.T if w is None else X.T * w
+    return glm._normal_solve(XwT, X, XwT @ y)
+
+
 def test_normal_equations_accurate_on_badly_scaled_offset_covariate(monkeypatch):
     # a covariate around 5e6 with an A*W interaction: cond(X) ~ 7e7. The
     # reference is lstsq on unit-norm columns (cond ~ 1e2); plain lstsq on
@@ -139,8 +142,8 @@ def test_normal_equations_accurate_on_badly_scaled_offset_covariate(monkeypatch)
 
     sw = np.sqrt(wt)
     ref_w = np.linalg.lstsq(X * sw[:, None] / scale, y * sw, rcond=None)[0] / scale
-    assert np.allclose(glm.normal_lstsq(X, y, wt), ref_w, rtol=1e-8, atol=0)
-    assert fallbacks == []  # both solved on the normal equations
+    assert np.allclose(_normal_solve(X, y, wt), ref_w, rtol=1e-8, atol=0)
+    assert fallbacks == []  # solved on the normal equations
 
 
 def test_near_collinear_design_takes_the_lstsq_fallback(monkeypatch):
@@ -169,27 +172,43 @@ def test_pivot_bound_sits_between_accepted_and_rejected_designs(monkeypatch):
     for eps, expect in ((1e-2, []), (1e-4, [(n, 3)])):
         fallbacks.clear()
         X = np.column_stack([np.ones(n), x, x + eps * noise])
-        glm.normal_lstsq(X, x + noise)
+        glm.fit_linear(X, x + noise)
         assert fallbacks == expect, eps
 
 
 @pytest.mark.parametrize("second", ["double", "zero"])
-def test_singular_gram_never_gives_runaway_coefficients(second):
-    # exactly singular Gram matrices reaching the solver with the rank check
-    # skipped: the fallback returns finite, bounded coefficients
+def test_singular_gram_gives_the_singular_design_fallback(second, monkeypatch):
+    # an exactly singular Gram matrix fails the pivot check, and only then
+    # does a fit ask design_is_singular: once per Newton run, and a
+    # warm-started fit that falls back runs again from zero
     x = np.linspace(-1.0, 1.0, 60)
     X = np.column_stack([np.ones(60), x, 2 * x if second == "double" else np.zeros(60)])
     y_lin = 0.5 + 0.3 * x
     y_bin = (x > 0.2).astype(float) * 0.6 + 0.2
-    coef = glm.normal_lstsq(X, y_lin)
-    assert np.isfinite(coef).all()
-    assert np.allclose(X @ coef, y_lin)
-    lin = glm.fit_linear(X, y_lin, full_rank=True)
-    assert np.isfinite(lin.coef).all()
-    assert np.allclose(X @ lin.coef, y_lin)
-    logit_fit = glm.fit_logistic(X, y_bin, full_rank=True)
-    assert np.isfinite(logit_fit.coef).all()
-    assert np.max(np.abs(X @ logit_fit.coef)) <= 2 * glm._SEPARATION_ETA
+    checks = []
+    check = glm.design_is_singular
+    monkeypatch.setattr(glm, "design_is_singular", lambda X: checks.append(X.shape) or check(X))
+    lin = glm.fit_linear(X, y_lin)
+    assert lin.fallback == "singular_design"
+    assert np.array_equal(lin.coef, [y_lin.mean(), 0.0, 0.0])
+    assert checks == [X.shape]
+    for start, runs in ((None, 1), (np.array([0.1, 0.2, 0.0]), 2)):
+        checks.clear()
+        logit_fit = glm.fit_logistic(X, y_bin, start=start)
+        assert logit_fit.fallback == "singular_design"
+        assert np.array_equal(logit_fit.coef, [glm.logit(y_bin.mean()), 0.0, 0.0])
+        assert checks == [X.shape] * runs
+
+
+def test_intercept_fallback_is_the_clipped_logit_of_the_mean():
+    # the intercept-only score equation sum(y - expit(b0)) = 0 has the root
+    # logit(mean y); a mean of 0 or 1 maps to the separation bound
+    X = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
+    for y, b0 in (([0.0, 0.0, 1.0, 1.0], 0.0), ([0.0] * 4, -glm._SEPARATION_ETA),
+                  ([1.0] * 4, glm._SEPARATION_ETA), ([1e-9] * 4, -glm._SEPARATION_ETA)):
+        with np.errstate(all="raise"):
+            fit = glm._logistic_intercept_fallback(X, np.array(y), "separation")
+        assert np.array_equal(fit.coef, [b0, 0.0])
 
 
 def test_expit_matches_the_two_branch_formula_bit_for_bit():
@@ -211,7 +230,6 @@ def test_one_column_design_is_a_division_that_matches_lstsq(weighted, monkeypatc
     rng = np.random.default_rng(16)
     n = 660
     w = rng.uniform(0.01, 0.25, n) if weighted else None
-    fallbacks = _count_lstsq_fallbacks(monkeypatch)
     for col in (np.ones(n), rng.normal(size=n), rng.uniform(1e3, 1e4, n)):
         X = col[:, None]
         y = rng.normal(size=n) + 2.0 * col
@@ -220,13 +238,12 @@ def test_one_column_design_is_a_division_that_matches_lstsq(weighted, monkeypatc
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "cholesky", None)
             m.setattr(np.linalg, "solve", None)
-            coef = glm.normal_lstsq(X, y, w)
+            coef = _normal_solve(X, y, w)
         assert coef.shape == (1,)
         assert abs(coef[0] - ref[0]) <= 1e-15 * abs(ref[0])
-    assert fallbacks == []
-    # a zero column fails the d > 0 guard and goes to lstsq
-    assert np.array_equal(glm.normal_lstsq(np.zeros((n, 1)), y, w), [0.0])
-    assert fallbacks == [(n, 1)]
+    # a zero column fails the d > 0 guard: the design is singular
+    assert _normal_solve(np.zeros((n, 1)), y, w) is None
+    assert glm.fit_linear(np.zeros((n, 1)), y).fallback == "singular_design"
 
 
 # --- warm starts ----------------------------------------------------------------
@@ -311,32 +328,47 @@ def test_exact_fit_stepwise_stops_at_the_first_exact_term(monkeypatch):
     assert fallbacks  # the fits went through lstsq
 
 
-# --- rank check once per term matrix ------------------------------------------
-
-
-_entries = st.one_of(st.integers(-2, 2).map(float),
-                     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+# --- the pivot check is the rank check ------------------------------------------
 
 
 @st.composite
-def _term_matrices(draw):
+def _rank_problems(draw):
+    """[1, columns...] with duplicated, zero, constant and near-collinear
+    columns at scales within 1e+-6, a 0/1 response, and a warm start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.integers(1, 6))
-    n = draw(st.integers(p, 12))
-    body = draw(hnp.arrays(float, (n, p - 1), elements=_entries))
-    if p > 2 and draw(st.booleans()):
-        # a near copy of another column tests the rank tolerance
-        j, k = draw(st.permutations(range(p - 1)))[:2]
-        body[:, k] = body[:, j] * (1 + draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8])))
-    return np.column_stack([np.ones(n), body])
+    n = draw(st.integers(2 * p + 10, 120))
+    X = np.ones((n, p))
+    for j in range(1, p):
+        kind = draw(st.sampled_from(["normal", "binary", "duplicate", "zero", "constant",
+                                     "near"]))
+        if kind == "normal":
+            X[:, j] = rng.normal(size=n)
+        elif kind == "binary":
+            X[:, j] = rng.binomial(1, 0.5, n)
+        elif kind == "zero":
+            X[:, j] = 0.0
+        elif kind == "constant":
+            X[:, j] = rng.normal()
+        else:
+            k = draw(st.integers(0, j - 1))
+            eps = 0.0 if kind == "duplicate" else draw(st.sampled_from([1e-15, 1e-12, 1e-8]))
+            X[:, j] = X[:, k] * (1 + eps * rng.normal(size=n))
+    X[:, 1:] *= 10.0 ** rng.uniform(-6, 6, p - 1)
+    y = rng.binomial(1, 0.4, n).astype(float)
+    # a stepwise-style start (the model without the last column, plus 0), or
+    # the cold fit's own coefficients, where Newton stops before any solve
+    if p > 1 and draw(st.booleans()):
+        start = np.append(glm.fit_logistic(X[:, :-1], y).coef, 0.0)
+    else:
+        start = glm.fit_logistic(X, y).coef
+    return X, y, start
 
 
 @settings(max_examples=300, deadline=None)
-@given(_term_matrices())
-def test_column_subsets_of_a_full_rank_term_matrix_are_full_rank(T):
-    # the rule behind _fit_stack's one check per term matrix: every
-    # candidate design [1, chosen...] is a column subset of T
-    assume(not glm.design_is_singular(T))
-    rest = range(1, T.shape[1])
-    for size in range(len(rest) + 1):
-        for cols in itertools.combinations(rest, size):
-            assert not glm.design_is_singular(T[:, (0, *cols)])
+@given(_rank_problems())
+def test_singular_design_is_reported_exactly_when_the_design_is_singular(problem):
+    X, y, start = problem
+    singular = glm.design_is_singular(X)
+    for fit in (glm.fit_linear(X, y), glm.fit_logistic(X, y), glm.fit_logistic(X, y, start=start)):
+        assert (fit.fallback == "singular_design") == singular

@@ -136,22 +136,26 @@ def _constant_in_one_split(kind):
 
 
 def _record_rank_checks(monkeypatch):
-    """Log ("check", rows) per design_is_singular call and ("fit", full_rank)
-    per fit_logistic / fit_linear call, in call order."""
+    """Log (rows, inside a fit) per design_is_singular call, where inside a
+    fit means during a glm.fit_logistic or glm.fit_linear call."""
     from rcpolicy import glm
 
     log = []
+    depth = [0]
     check, logistic, linear = glm.design_is_singular, glm.fit_logistic, glm.fit_linear
 
     def checked(X):
-        log.append(("check", X.shape[0]))
+        log.append((X.shape[0], depth[0] > 0))
         return check(X)
 
     def fit(original):
-        def logged(X, y, *, full_rank=False, **kwargs):
-            log.append(("fit", full_rank))
-            return original(X, y, full_rank=full_rank, **kwargs)
-        return logged
+        def inside(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return inside
 
     monkeypatch.setattr(glm, "design_is_singular", checked)
     monkeypatch.setattr(glm, "fit_logistic", fit(logistic))
@@ -161,34 +165,26 @@ def _record_rank_checks(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["binary", "bounded_real"])
 def test_rank_deficient_split_warns_per_fit(kind, monkeypatch):
-    # the stack checks each split's term matrix once; in the split where
-    # w2 is constant every candidate fit checks itself, and the warnings
-    # are the ones a check per fit gives
+    # in the split where w2 is constant the fits that hold w2 fail the pivot
+    # check and find the design singular; the stack checks nothing itself
     ds = _constant_in_one_split(kind)
     expected = ("glm: singular_design (fold 1)", "uni:w2: singular_design (fold 1)")
     library = ("mean", "glm", "univariate", "step_aic")
     log = _record_rank_checks(monkeypatch)
     q = fit_outcome(ds, library, folds=3, seed=4)
     assert q.warnings == expected
-    # one check per split and one on the full data; every fit in split 1
-    # (and only there) runs its own check right after it starts
-    own = [i for i, e in enumerate(log) if e == ("fit", False)]
-    assert own and all(log[i + 1][0] == "check" for i in own)
-    per_matrix = [i for i, e in enumerate(log) if e[0] == "check" and i - 1 not in own]
     fold_rows = np.bincount(stratified_folds(ds.a, 3, seed=4), minlength=3)
-    assert [log[i][1] for i in per_matrix] == [*(ds.n - fold_rows), ds.n]
-    assert per_matrix[1] < own[0] and own[-1] < per_matrix[2]
+    assert log and set(log) == {(ds.n - fold_rows[1], True)}
     b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), library, folds=3, seed=4)
     assert b.warnings == expected
 
 
-def test_full_rank_stack_checks_rank_once_per_term_matrix(adaptr_2k, monkeypatch):
-    ds = adaptr_2k
+def test_stack_makes_no_rank_check_of_its_own(adaptr_2k, monkeypatch):
+    # a full-rank term matrix: every one of the stack's 174 fits passes its
+    # pivot check, so no rank check runs at all
     log = _record_rank_checks(monkeypatch)
-    fit_outcome(ds, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=0)
-    train_rows = ds.n - np.bincount(stratified_folds(ds.a, 5, seed=0), minlength=5)
-    assert [e for e in log if e[0] == "check"] == [("check", m) for m in (*train_rows, ds.n)]
-    assert ("fit", False) not in log
+    fit_outcome(adaptr_2k, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=0)
+    assert log == []
 
 
 def _stack_run(monkeypatch, ds, library, cold):

@@ -11,6 +11,7 @@ from rcpolicy import (
     adaptr_like,
     build_policy,
     constant_blip,
+    continuous_blip,
     contrast_estimates,
     cv_tmle_value,
     derive_seed,
@@ -216,6 +217,22 @@ def test_affine_outcome_scaling_equivariance(adaptr_2k, lean_config):
     assert e1.se == pytest.approx(4.0 * e0.se, abs=1e-12)
     assert e1.ci[0] == pytest.approx(2.0 + 4.0 * e0.ci[0], abs=1e-11)
     assert e1.tau == pytest.approx(4.0 * e0.tau, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e-13])
+def test_covariate_units_do_not_change_the_estimate(scale):
+    # matrix_rank on the raw design reads w1 in these units as rank-deficient;
+    # the pivot check on the unit-diagonal Gram matrix does not
+    ds = generate(continuous_blip(seed=5), 2000)
+    cfg = PipelineConfig(folds=3, g_known=0.5, seed=5)
+    w = ds.w.copy()
+    w[:, 0] *= scale
+    scaled = Dataset(w=w, a=ds.a, y=ds.y, covariate_names=ds.covariate_names,
+                     outcome_kind=ds.outcome_kind)
+    ref = evaluate_grid(ds, (0.5,), cfg).estimates[0]
+    est = evaluate_grid(scaled, (0.5,), cfg).estimates[0]
+    assert not any("singular_design" in msg for msg in est.warnings)
+    assert est.psi == pytest.approx(ref.psi, abs=1e-9)
 
 
 def test_cv_determinism(adaptr_2k, lean_config):
