@@ -500,7 +500,7 @@ def _cmd_msm(args, cfg: PipelineConfig) -> None:
         "chord": {"intercept": fit.chord[0], "slope": fit.chord[1]},
         "contrasts": {"contrast0": fit.contrast[0], "contrast1": fit.contrast[1]},
         "ci": {key: [lo, hi] for key, (lo, hi) in ci.items()},
-        "mode": fit.boot_mode,
+        "mode": cfg.bootstrap_mode,
         "replicates": fit.boot_replicates,
         "resample_redraws": fit.boot_redraws,
         "kappas": list(fit.kappas),
@@ -603,6 +603,8 @@ def _cmd_plot_data(args, cfg: PipelineConfig) -> None:
                     "plane": "icer"}[key]
         raise CliError(f"--{flag} {source}: no {key!r} section; expected output of `{producer}`")
     records = doc[key]
+    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+        raise CliError(f"--{flag} {source}: section {key!r} must be a list of JSON objects")
     if columns is None:  # ce-plane: pick up denominator naming from the artifact
         first = records[0] if records else {}
         den_key = "denominator_pp" if "denominator_pp" in first else "denominator"
@@ -616,31 +618,30 @@ def _cmd_plot_data(args, cfg: PipelineConfig) -> None:
 # parser
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser, bootstrap: bool = False, icer: bool = False):
+def _add_pipeline_flags(p: argparse.ArgumentParser, model: bool = True,
+                        ci_level: bool = False):
+    """--config and --seed; the learner and propensity flags when the
+    command fits models, and --ci-level when it reports intervals. Returns
+    the group, for a command to add its own PipelineConfig flags."""
     grp = p.add_argument_group("pipeline")
     grp.add_argument("--config", help="JSON config file overlaying the defaults")
-    grp.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
     grp.add_argument("--seed", type=int, help="master seed (default 0; env RC_POLICY_SEED)")
-    grp.add_argument("--g-known", type=float, dest="g_known",
-                     help="known treatment probability, e.g. 0.5 in a balanced trial")
-    grp.add_argument("--g-estimate", action=argparse.BooleanOptionalAction, dest="g_estimate",
-                     default=None, help="force propensity estimation on or off")
-    grp.add_argument("--g-min", type=float, dest="g_min", help="propensity truncation bound")
-    grp.add_argument("--outcome-library", dest="outcome_library",
-                     help="comma-separated outcome learners (mean,glm,univariate,step_aic)")
-    grp.add_argument("--blip-library", dest="blip_library",
-                     help="comma-separated blip learners")
-    grp.add_argument("--ci-level", type=float, dest="ci_level", help="confidence level (default 0.95)")
-    if bootstrap:
-        grp.add_argument("--bootstrap", type=int, dest="bootstrap_replicates", metavar="BOOTSTRAP",
-                         help="bootstrap replicates (default 1000)")
-        grp.add_argument("--mode", choices=["refit", "fixed-rule"], dest="bootstrap_mode",
-                         help="bootstrap mode")
-    if icer:
-        grp.add_argument("--effect-units", choices=["pp", "probability"], dest="effect_units",
-                         help="denominator units for binary outcomes (default pp)")
-        grp.add_argument("--epsilon-den", type=float, dest="epsilon_den",
-                         help="denominator instability guard (default 1e-4)")
+    if model:
+        grp.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
+        grp.add_argument("--g-known", type=float, dest="g_known",
+                         help="known treatment probability, e.g. 0.5 in a balanced trial")
+        grp.add_argument("--g-estimate", action=argparse.BooleanOptionalAction,
+                         dest="g_estimate", default=None,
+                         help="force propensity estimation on or off")
+        grp.add_argument("--g-min", type=float, dest="g_min", help="propensity truncation bound")
+        grp.add_argument("--outcome-library", dest="outcome_library",
+                         help="comma-separated outcome learners (mean,glm,univariate,step_aic)")
+        grp.add_argument("--blip-library", dest="blip_library",
+                         help="comma-separated blip learners")
+    if ci_level:
+        grp.add_argument("--ci-level", type=float, dest="ci_level",
+                         help="confidence level (default 0.95)")
+    return grp
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -679,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sd of additive cost noise")
     p.add_argument("--no-cost", action="store_true", dest="no_cost", default=None,
                    help="omit the cost column")
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, model=False)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit-rule", help="fit the constrained rule at one or more budgets")
@@ -695,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-grid", "--kappa", dest="kappa_grid", help="start:end:step budget grid")
     p.add_argument("--out", help="results JSON path (default stdout)")
     _add_data_flags(p)
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, ci_level=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("msm", help="summarize the budget-response curve with a working line")
@@ -703,7 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results JSON path (default stdout)")
     p.add_argument("--plot-out", dest="plot_out", help="plot-data CSV (kappa,value,fitted,chord)")
     _add_data_flags(p)
-    _add_pipeline_flags(p, bootstrap=True)
+    grp = _add_pipeline_flags(p, ci_level=True)
+    grp.add_argument("--bootstrap", type=int, dest="bootstrap_replicates", metavar="BOOTSTRAP",
+                     help="bootstrap replicates (default 1000)")
+    grp.add_argument("--mode", choices=["refit"], dest="bootstrap_mode",
+                     help="bootstrap mode: refit re-runs the pipeline on every resample")
     p.set_defaults(func=_cmd_msm)
 
     p = sub.add_parser("icer", help="incremental cost-effectiveness along the budget grid")
@@ -713,7 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results JSON path (default stdout)")
     p.add_argument("--plane-out", dest="plane_out", help="cost-effectiveness plane CSV")
     _add_data_flags(p)
-    _add_pipeline_flags(p, icer=True)
+    grp = _add_pipeline_flags(p, ci_level=True)
+    grp.add_argument("--effect-units", choices=["pp", "probability"], dest="effect_units",
+                     help="denominator units for binary outcomes (default pp)")
+    grp.add_argument("--epsilon-den", type=float, dest="epsilon_den",
+                     help="denominator instability guard (default 1e-4)")
     p.set_defaults(func=_cmd_icer)
 
     p = sub.add_parser("subgroups", help="scan covariates for treatment-effect heterogeneity")
@@ -722,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max distinct values for per-level summaries (default 10)")
     p.add_argument("--out", help="results JSON path (default stdout)")
     _add_data_flags(p)
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, model=False)
     p.set_defaults(func=_cmd_subgroups)
 
     p = sub.add_parser("plot-data", help="project saved results into plot-ready CSV")

@@ -41,7 +41,7 @@ class PipelineConfig:
     epsilon_den: float = 1e-4  # ICER denominator instability guard (scaled outcome)
     effect_units: str = "pp"  # "pp" or "probability" for binary-outcome ICER denominators
     bootstrap_replicates: int = 1000
-    bootstrap_mode: str = "refit"  # or "fixed-rule"
+    bootstrap_mode: str = "refit"  # the one mode; kept so `--mode refit` and JSON keys load
 
     def __post_init__(self):
         for name in ("folds", "seed", "bootstrap_replicates"):
@@ -62,8 +62,8 @@ class PipelineConfig:
             raise ValueError(f"epsilon_den must be finite and >= 0, got {self.epsilon_den!r}")
         if self.effect_units not in ("pp", "probability"):
             raise ValueError("effect_units must be 'pp' or 'probability'")
-        if self.bootstrap_mode not in ("refit", "fixed-rule"):
-            raise ValueError("bootstrap_mode must be 'refit' or 'fixed-rule'")
+        if self.bootstrap_mode != "refit":
+            raise ValueError(f"bootstrap_mode must be 'refit', got {self.bootstrap_mode!r}")
         if self.bootstrap_replicates < 1:
             raise ValueError("bootstrap_replicates must be >= 1")
 

@@ -10,11 +10,9 @@ differences between line and chord are therefore a falsification check
 on whether prioritization adds value.
 
 Inference for the coefficients and the chord contrasts is by the
-nonparametric bootstrap with percentile (2.5%, 97.5%) intervals. Two
-modes: `refit` re-runs the whole pipeline (rule included) on every
-resample; `fixed-rule` holds the full-data rules fixed (the rules
-`fit-rule` reports, from `tmle.fit_full_rules`) and only re-estimates
-values.
+nonparametric bootstrap with percentile (2.5%, 97.5%) intervals. Every
+replicate re-runs the whole pipeline, rule included, on its resample,
+so the intervals carry the rule's selection as well as its value.
 """
 from __future__ import annotations
 
@@ -23,11 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .data import Dataset, scale_outcome
+from .data import Dataset
 from .glm import weighted_lstsq
-from .rule import StaticPolicy
-from .tmle import (CvNuisance, GridResult, assignment_for, derive_seed, evaluate_grid,
-                   fit_full_rules, fit_nuisance, value_from_assignment)
+from .tmle import GridResult, derive_seed, evaluate_grid
 
 __all__ = ["MsmFit", "fit_msm", "msm_with_bootstrap"]
 
@@ -55,7 +51,6 @@ class MsmFit:
     chord: tuple[float, float] | None = None
     contrast: tuple[float, float] | None = None
     boot_ci: dict | None = None
-    boot_mode: str | None = None
     boot_replicates: int = 0
     boot_redraws: int = 0
     boot_draws: dict | None = field(default=None, repr=False)
@@ -149,15 +144,17 @@ def msm_with_bootstrap(
     beta1, contrast0, contrast1); percentile intervals land in boot_ci.
     Deterministic given the master seed.
 
-    "refit" re-solves the rules on every resample; "fixed-rule" holds the
-    full-data rules and is conditional on them, so when the blip ranking
-    is mostly noise its replicate values keep the selection optimism of
-    the chosen rule. Prefer refit for chord-contrast inference.
+    Every replicate re-solves the rules on its resample, so the
+    intervals are not conditional on the full-data rule: when the blip
+    ranking is mostly noise, a held rule would keep the optimism of its
+    selection. The grid needs two distinct budgets; that is checked
+    before any fit.
     """
     cfg = config or PipelineConfig()
     reps = cfg.bootstrap_replicates
-    mode = cfg.bootstrap_mode
     kappas = tuple(float(k) for k in kappa_grid)
+    if len(set(kappas)) < 2:
+        raise ValueError("need at least 2 (kappa, value) points")
     if grid is None:
         grid = evaluate_grid(ds, kappas, cfg)
     elif tuple(grid.kappas) != kappas:
@@ -167,17 +164,12 @@ def msm_with_bootstrap(
     draws = {key: np.empty(reps) for key in BOOT_KEYS}
     redraws = 0
 
-    fixed = fit_full_rules(ds, kappas, cfg)[1] if mode == "fixed-rule" else None
-
     for r in range(reps):
         rng = np.random.default_rng(derive_seed(cfg.seed, _RESAMPLE_STREAM, r))
         ds_b, extra = _resample(ds, rng)
         redraws += extra
         rep_seed = derive_seed(cfg.seed, _PIPELINE_STREAM, r)
-        if mode == "refit":
-            fit_b = _fit_from_grid(evaluate_grid(ds_b, kappas, cfg.replace(seed=rep_seed)))
-        else:
-            fit_b = _fixed_rule_replicate(ds_b, kappas, fixed, cfg.replace(seed=rep_seed))
+        fit_b = _fit_from_grid(evaluate_grid(ds_b, kappas, cfg.replace(seed=rep_seed)))
         draws["beta0"][r] = fit_b.beta0
         draws["beta1"][r] = fit_b.beta1
         draws["contrast0"][r] = fit_b.contrast[0]
@@ -196,25 +188,8 @@ def msm_with_bootstrap(
         chord=point.chord,
         contrast=point.contrast,
         boot_ci=boot_ci,
-        boot_mode=mode,
         boot_replicates=reps,
         boot_redraws=redraws,
         boot_draws=draws,
         warnings=grid.nuisance.warnings,
     )
-
-
-def _fixed_rule_replicate(ds_b: Dataset, kappas, policies, cfg: PipelineConfig) -> MsmFit:
-    """Re-estimate values on a resample while holding the rules fixed.
-
-    policies are the full-data rules, in kappas order.
-    """
-    ds_s = scale_outcome(ds_b)
-    q, g, _, _ = fit_nuisance(ds_s, cfg, cfg.seed)
-    nuis = CvNuisance.one_fold(ds_s, q, g, cfg)
-
-    def psi(policy) -> float:
-        return value_from_assignment(nuis, assignment_for(nuis, policy)).psi
-
-    values = [psi(pol) for pol in policies]
-    return fit_msm(list(zip(kappas, values)), chord=(psi(StaticPolicy(0)), psi(StaticPolicy(1))))

@@ -16,7 +16,7 @@ Nuisances are fit by `fit_nuisance`, and every value is computed by
                   one-fold nuisance, and the rule is taken as given.
 
 `fit_full_rules` fits the full-data rule (one blip fit on every row),
-the rule `fit-rule` reports and a fixed-rule bootstrap holds fixed.
+the rule `fit-rule` reports.
 An `Assignment` is a rule resolved on the sample: each row's treatment
 probability and the threshold that row's fold used.
 

@@ -10,8 +10,9 @@ import pytest
 
 from rcpolicy.cli import CliError, _resolve_config, build_parser, main, parse_kappa_grid
 from rcpolicy.config import PipelineConfig, config_hash
-from rcpolicy.data import scale_outcome
+from rcpolicy.data import ColumnSchema, ingest_csv, scale_outcome
 from rcpolicy.dgp import adaptr_like, oracle
+from rcpolicy.tmle import fit_full_rules
 
 LEAN_FLAGS = ["--folds", "3", "--g-known", "0.5",
               "--outcome-library", "mean,glm", "--blip-library", "mean,glm"]
@@ -38,7 +39,7 @@ def workdir(tmp_path_factory):
     msm_json = str(root / "msm.json")
     msm_csv = str(root / "msm_plot.csv")
     assert main(["msm", "--data", csv, "--kappa-grid", "0:1:0.25", "--seed", "5",
-                 "--bootstrap", "24", "--mode", "fixed-rule",
+                 "--bootstrap", "24", "--mode", "refit",
                  "--out", msm_json, "--plot-out", msm_csv, *LEAN_FLAGS]) == 0
 
     icer_json = str(root / "icer.json")
@@ -286,38 +287,31 @@ def test_fit_rule_reports_thresholds_in_outcome_units(tmp_path, capsys):
     assert wide["pct_treated"] == unit["pct_treated"]
 
 
-def test_fit_rule_reports_the_rules_fixed_rule_holds(tmp_path, capsys, monkeypatch):
-    """fit-rule and the fixed-rule bootstrap fit one full-data rule: the
-    reported tau is the held policy's tau in outcome units."""
-    import rcpolicy.msm
-
+def test_fit_rule_reports_the_full_data_rules(tmp_path, capsys):
+    """fit-rule reports the rules tmle.fit_full_rules fits, with each
+    tau in outcome units."""
     csv = tmp_path / "cont.csv"
     assert main(["simulate", "--dgp", "continuous_blip", "--n", "400", "--seed", "3",
                  "--no-cost", "--out", str(csv)]) == 0
     # the binary outcome recoded onto {2, 6}, so thresholds scale by 4
     lines = csv.read_text().splitlines()
-    j = lines[0].split(",").index("y")
+    header = lines[0].split(",")
+    j = header.index("y")
     rows = [line.split(",") for line in lines[1:]]
     for row in rows:
         row[j] = repr(2.0 + 4.0 * float(row[j]))
     csv.write_text("\n".join([lines[0], *(",".join(r) for r in rows)]) + "\n")
-    flags = ["--data", str(csv), "--seed", "3", "--outcome-kind", "bounded_real",
-             "--y-bounds", "2:6", *LEAN_FLAGS]
-    assert main(["fit-rule", "--kappa", "0:1:0.25", *flags]) == 0
+    assert main(["fit-rule", "--kappa", "0:1:0.25", "--data", str(csv), "--seed", "3",
+                 "--outcome-kind", "bounded_real", "--y-bounds", "2:6", *LEAN_FLAGS]) == 0
     rules = json.loads(capsys.readouterr().out)["rules"]
 
-    held = []
-    full_rules = rcpolicy.msm.fit_full_rules
-
-    def spy(ds, kappas, cfg):
-        out = full_rules(ds, kappas, cfg)
-        held.append((scale_outcome(ds).y_scale, out[1]))
-        return out
-
-    monkeypatch.setattr(rcpolicy.msm, "fit_full_rules", spy)
-    assert main(["msm", "--kappa-grid", "0:1:0.25", "--mode", "fixed-rule",
-                 "--bootstrap", "2", "--out", str(tmp_path / "msm.json"), *flags]) == 0
-    ((lo, hi), policies), = held
+    ds = ingest_csv(str(csv), ColumnSchema(
+        treatment="a", outcome="y", covariates=tuple(c for c in header if c not in ("a", "y")),
+        outcome_kind="bounded_real", y_bounds=(2.0, 6.0)))
+    cfg = PipelineConfig(seed=3, folds=3, g_known=0.5,
+                         outcome_library=("mean", "glm"), blip_library=("mean", "glm"))
+    _, policies, _ = fit_full_rules(ds, parse_kappa_grid("0:1:0.25"), cfg)
+    lo, hi = scale_outcome(ds).y_scale
     assert (lo, hi) == (2.0, 6.0)
     assert [r["kappa"] for r in rules] == [p.kappa for p in policies]
     assert any(r["tau"] > 0 for r in rules)
@@ -363,7 +357,7 @@ def test_msm_payload(workdir):
     for lo, hi in doc["ci"].values():
         assert lo <= hi
     assert doc["replicates"] == 24
-    assert doc["mode"] == "fixed-rule"
+    assert doc["mode"] == "refit"
     assert doc["chord"]["intercept"] == pytest.approx(doc["values"][0], abs=1e-12)
     assert len(doc["plot_rows"]) == 5
     fitted = [r["fitted"] for r in doc["plot_rows"]]
@@ -372,6 +366,19 @@ def test_msm_payload(workdir):
     lines = open(workdir["msm_plot"]).read().splitlines()
     assert lines[0] == "kappa,value,fitted,chord"
     assert len(lines) == 6
+
+
+def test_msm_rejects_the_retired_fixed_rule_mode(workdir, tmp_path, capsys):
+    out = tmp_path / "msm.json"
+    argv = ["msm", "--data", workdir["csv"], "--kappa-grid", "0:1:0.5", "--bootstrap", "2",
+            "--out", str(out), *LEAN_FLAGS]
+    assert main([*argv, "--mode", "fixed-rule"]) == 1
+    assert "'refit'" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bootstrap_mode": "fixed-rule"}))
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert "'refit'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_icer_payload(workdir):
@@ -396,7 +403,7 @@ def test_icer_and_msm_report_the_warnings_evaluate_reports(tmp_path):
     flags = ["--data", csv, "--kappa-grid", "0.5:1:0.5", "--folds", "3", "--seed", "3"]
     docs = {}
     for cmd, extra in (("evaluate", []), ("icer", []),
-                       ("msm", ["--mode", "fixed-rule", "--bootstrap", "2"])):
+                       ("msm", ["--mode", "refit", "--bootstrap", "2"])):
         out = tmp_path / f"{cmd}.json"
         assert main([cmd, *flags, *extra, "--out", str(out)]) == 0
         docs[cmd] = _load(out)
@@ -501,6 +508,23 @@ def test_plot_data_wrong_source(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "plot_rows" in err and "msm" in err
+
+
+@pytest.mark.parametrize("what, flag, doc", [
+    ("value-curve", "results", {"grid": [1, 2]}),
+    ("msm", "results", {"plot_rows": {"a": 1}}),
+    ("blip-hist", "model", {"blip_atoms": "atoms"}),
+    ("ce-plane", "results", {"plane": [{"kappa": 0.5}, 3]}),
+], ids=["grid_of_numbers", "plot_rows_object", "atoms_string", "plane_mixed"])
+def test_plot_data_rejects_a_malformed_section(tmp_path, capsys, what, flag, doc):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert main(["plot-data", "--what", what, f"--{flag}", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    (key,) = doc
+    assert err.startswith("error: ") and f"--{flag}" in err and repr(key) in err
+    assert list(tmp_path.iterdir()) == [src]
 
 
 # --- dispatch and error mapping -----------------------------------------------
@@ -786,3 +810,80 @@ def test_command_key_json_under_flag_over_default(workdir, tmp_path, capsys, mon
         for f in tmp_path.glob("*.csv*"):
             f.unlink()
         assert run(workdir, tmp_path, capsys, extra) == expected
+
+
+# --- flags only where a command reads them ---------------------------------------
+
+_MODEL_DESTS = {"folds", "g_known", "g_estimate", "g_min", "outcome_library", "blip_library"}
+# PipelineConfig fields each command takes as flags; the rest load from --config only
+_CONFIG_FLAG_DESTS = {
+    "simulate": {"seed"},
+    "fit-rule": {"seed", *_MODEL_DESTS},
+    "evaluate": {"seed", "ci_level", *_MODEL_DESTS},
+    "msm": {"seed", "ci_level", "bootstrap_replicates", "bootstrap_mode", *_MODEL_DESTS},
+    "icer": {"seed", "ci_level", "effect_units", "epsilon_den", *_MODEL_DESTS},
+    "subgroups": {"seed"},
+    "plot-data": set(),
+}
+
+
+def test_config_field_flags_per_command():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_CONFIG_FLAG_DESTS)
+    for name, p in sub.choices.items():
+        dests = {a.dest for a in p._actions} & PipelineConfig.field_names()
+        assert dests == _CONFIG_FLAG_DESTS[name], name
+
+
+_UNREAD_FLAGS = [["--folds", "3"], ["--g-known", "0.3"], ["--g-estimate"], ["--g-min", "0.2"],
+                 ["--outcome-library", "mean"], ["--blip-library", "mean"], ["--ci-level", "0.5"]]
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("simulate", f) for f in _UNREAD_FLAGS),
+    *(("subgroups", f) for f in _UNREAD_FLAGS),
+    ("fit-rule", ["--ci-level", "0.5"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_flag_the_command_does_not_read_exits_1(workdir, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--dgp", "null_effect", "--n", "20"],
+        "subgroups": ["--data", workdir["csv"]],
+        "fit-rule": ["--data", workdir["csv"], "--kappa", "0.5", *LEAN_FLAGS],
+    }[command]
+    assert main([command, *argv, "--out", str(out), *flag]) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_shared_config_with_model_keys_still_loads(workdir, tmp_path, capsys):
+    """The keys behind the unread flags load from JSON and change nothing
+    but the audit block."""
+    shared = {"folds": 3, "g_known": 0.3, "g_estimate": True, "g_min": 0.2,
+              "outcome_library": "mean", "blip_library": "mean", "ci_level": 0.5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(shared))
+    plain, loaded = tmp_path / "plain.csv", tmp_path / "loaded.csv"
+    assert main(["simulate", "--dgp", "adaptr_like", "--n", "50", "--out", str(plain)]) == 0
+    assert main(["simulate", "--dgp", "adaptr_like", "--n", "50", "--out", str(loaded),
+                 "--config", str(cfg)]) == 0
+    assert loaded.read_bytes() == plain.read_bytes()
+
+    def run(argv):
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return doc.pop("audit")["config"], doc
+
+    sub_argv = ["subgroups", "--data", workdir["csv"], "--seed", "5"]
+    _, bare = run(sub_argv)
+    audit, with_cfg = run([*sub_argv, "--config", str(cfg)])
+    assert with_cfg == bare
+    assert {key: audit[key] for key in shared} == {**shared, "outcome_library": ["mean"],
+                                                   "blip_library": ["mean"]}
+
+    rule_argv = ["fit-rule", "--data", workdir["csv"], "--kappa", "0.5", "--config", str(cfg)]
+    _, at_half = run(rule_argv)
+    cfg.write_text(json.dumps({**shared, "ci_level": 0.95}))
+    _, at_default = run(rule_argv)
+    assert at_half == at_default

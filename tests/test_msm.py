@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
+import rcpolicy.msm
 from rcpolicy import (
     PipelineConfig,
-    StaticPolicy,
-    build_policy,
     constant_blip,
     derive_seed,
     evaluate_grid,
-    fit_blip,
     fit_msm,
-    fit_outcome,
-    fit_propensity,
     generate,
     msm_with_bootstrap,
-    scale_outcome,
-    tmle_value,
 )
 from rcpolicy.msm import (
     _PIPELINE_STREAM,
@@ -24,13 +18,12 @@ from rcpolicy.msm import (
     MAX_REDRAWS,
     _resample,
 )
-from rcpolicy.tmle import BLIP_STREAM, Q_STREAM
 
 REFERENCE_KAPPAS = tuple(round(k / 10, 1) for k in range(11))
 REFERENCE_VALUES = (0.6655, 0.6860, 0.6910, 0.7118, 0.7067, 0.7193,
                     0.7225, 0.7369, 0.7457, 0.7561, 0.7720)
 
-LEAN_BOOT = PipelineConfig(folds=3, g_known=0.5, bootstrap_mode="fixed-rule",
+LEAN_BOOT = PipelineConfig(folds=3, g_known=0.5,
                            outcome_library=("mean", "glm"), blip_library=("mean", "glm"))
 
 
@@ -130,7 +123,6 @@ def test_bootstrap_deterministic_and_keyed(boot_ds):
     assert set(a.boot_ci) == set(BOOT_KEYS)
     assert a.boot_ci == b.boot_ci
     assert a.beta0 == b.beta0 and a.beta1 == b.beta1
-    assert a.boot_mode == "fixed-rule"
     assert a.boot_replicates == 5
     for key in BOOT_KEYS:
         assert a.boot_draws[key].shape == (5,)
@@ -153,15 +145,6 @@ def test_bootstrap_quantiles_nest(boot_ds):
         assert lo95 <= lo80 <= hi80 <= hi95
 
 
-def test_bootstrap_modes_differ(boot_ds):
-    fixed = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0), LEAN_BOOT.replace(bootstrap_replicates=4))
-    refit = msm_with_bootstrap(boot_ds, (0.0, 0.5, 1.0),
-                               LEAN_BOOT.replace(bootstrap_mode="refit", bootstrap_replicates=4))
-    assert fixed.beta0 == refit.beta0  # point fit shared
-    assert not np.array_equal(fixed.boot_draws["beta1"], refit.boot_draws["beta1"])
-    assert refit.boot_mode == "refit"
-
-
 def test_bootstrap_reuses_supplied_grid(boot_ds):
     grid = evaluate_grid(boot_ds, (0.0, 1.0), LEAN_BOOT)
     two = LEAN_BOOT.replace(bootstrap_replicates=2)
@@ -176,31 +159,30 @@ def test_bootstrap_rejects_zero_replicates(boot_ds):
         msm_with_bootstrap(boot_ds, (0.0, 1.0), LEAN_BOOT.replace(bootstrap_replicates=0))
 
 
-@pytest.mark.parametrize("g_known", [0.5, None], ids=["known_g", "estimated_g"])
-def test_fixed_rule_draws_match_per_policy_tmle_loop(boot_ds, g_known):
-    """Fixed-rule draws equal, bit for bit, a plain loop: resample, fit q
-    and g on the replicate, then one tmle_value per policy and static."""
+def test_refit_draws_match_a_plain_grid_loop(boot_ds):
+    """Replicate draws equal, bit for bit, a plain loop: resample, then
+    one evaluate_grid and one fit_msm on the replicate's own seed."""
     kappas = (0.0, 0.5, 1.0)
-    cfg = LEAN_BOOT.replace(g_known=g_known, bootstrap_replicates=3, seed=11)
+    cfg = LEAN_BOOT.replace(bootstrap_replicates=3, seed=11)
     fit = msm_with_bootstrap(boot_ds, kappas, cfg)
-
-    ds_s = scale_outcome(boot_ds)
-    q = fit_outcome(ds_s, cfg.outcome_library, cfg.folds, derive_seed(cfg.seed, Q_STREAM))
-    g = fit_propensity(ds_s, cfg.g_known, cfg.g_estimate, cfg.g_min)
-    blip = fit_blip(ds_s, q, g, cfg.blip_library, cfg.folds, derive_seed(cfg.seed, BLIP_STREAM))
-    policies = [build_policy(blip, ds_s, k) for k in kappas]
     for r in range(cfg.bootstrap_replicates):
         rng = np.random.default_rng(derive_seed(cfg.seed, _RESAMPLE_STREAM, r))
         ds_b, _ = _resample(boot_ds, rng)
         rep_cfg = cfg.replace(seed=derive_seed(cfg.seed, _PIPELINE_STREAM, r))
-        ds_bs = scale_outcome(ds_b)
-        q_b = fit_outcome(ds_bs, cfg.outcome_library, cfg.folds, rep_cfg.seed)
-        g_b = fit_propensity(ds_bs, cfg.g_known, cfg.g_estimate, cfg.g_min)
-        psis = [tmle_value(ds_b, pol, q_b, g_b, rep_cfg).psi
-                for pol in (*policies, StaticPolicy(0), StaticPolicy(1))]
-        line = fit_msm(zip(kappas, psis[:-2]), chord=tuple(psis[-2:]))
+        grid = evaluate_grid(ds_b, kappas, rep_cfg)
+        line = fit_msm(zip(kappas, (e.psi for e in grid.estimates)),
+                       chord=(grid.treat_none.psi, grid.treat_all.psi))
         expected = (line.beta0, line.beta1, *line.contrast)
         assert tuple(float(fit.boot_draws[key][r]) for key in BOOT_KEYS) == expected
+
+
+@pytest.mark.parametrize("kappas", [(0.5,), (0.5, 0.5)], ids=["one", "repeated"])
+def test_degenerate_grid_fails_before_any_fit(boot_ds, monkeypatch, kappas):
+    calls = []
+    monkeypatch.setattr(rcpolicy.msm, "evaluate_grid", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="need at least 2"):
+        msm_with_bootstrap(boot_ds, kappas, LEAN_BOOT.replace(bootstrap_replicates=2))
+    assert calls == []
 
 
 def test_resample_single_arm_exhaustion(boot_ds):
@@ -215,9 +197,6 @@ def test_resample_single_arm_exhaustion(boot_ds):
 def test_bootstrap_contrast_covers_zero_on_flat_design():
     """On a constant-blip design the value curve is its own chord, so
     both contrasts are truly zero and their CIs should usually cover.
-
-    Uses refit mode: fixed-rule replicates are conditional on one
-    noise-ranked rule and sit optimistically high on flat designs.
     """
     spec = constant_blip(blip=0.1, baseline=0.4)
     cover0 = cover1 = 0
@@ -225,8 +204,7 @@ def test_bootstrap_contrast_covers_zero_on_flat_design():
     for r in range(outer):
         ds = generate(spec.with_seed(400 + r), 400)
         fit = msm_with_bootstrap(ds, (0.0, 0.5, 1.0),
-                                 LEAN_BOOT.replace(seed=r, bootstrap_mode="refit",
-                                                   bootstrap_replicates=40))
+                                 LEAN_BOOT.replace(seed=r, bootstrap_replicates=40))
         lo0, hi0 = fit.boot_ci["contrast0"]
         lo1, hi1 = fit.boot_ci["contrast1"]
         cover0 += lo0 <= 0.0 <= hi0
