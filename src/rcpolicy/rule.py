@@ -19,13 +19,19 @@ threshold is solved and when rows are assigned. So when the budget
 binds at an atom at or below zero, its members stay untreated even if
 positive.
 
-Grouping into atoms runs in numpy: when no two neighbouring sorted
-blips are within TIE_TOL every row is its own atom and nothing loops;
-otherwise only the runs of near-tied rows are walked, one atom per
-step, and each atom's mass is summed left to right, row by row, so the
-atoms are the same to the last bit either way. Sorting is stable, so
-solving on blips that are already sorted (as CV-TMLE folds store their
-training blips) changes no result and sorts in linear time.
+A blip distribution is grouped once into an `AtomTable` (`atom_table`):
+the sorted rows, the atoms and the mass above each atom. The rule at a
+budget depends on the budget only through the threshold, so a table
+answers every budget; CV-TMLE builds one per fold when it fits the fold's
+nuisances and solves each budget on it, and `solve_threshold` on raw
+blips, `blip_atoms` and `build_policy` build theirs through the same
+`atom_table`. Grouping runs in numpy: when no two neighbouring sorted
+blips are within TIE_TOL every row is its own atom, the table keeps the
+rows as its atoms, and nothing loops; otherwise only the runs of
+near-tied rows are walked, one atom per step, and each atom's mass is
+summed left to right, row by row, so the atoms are the same to the last
+bit either way. A solve finds eta by a binary search on the mass above
+each atom and sums only the masses it reports.
 """
 from __future__ import annotations
 
@@ -38,7 +44,9 @@ __all__ = [
     "StaticPolicy",
     "RulePolicy",
     "ThresholdSolution",
+    "AtomTable",
     "assign_from_blips",
+    "atom_table",
     "blip_atoms",
     "build_policy",
     "solve_threshold",
@@ -65,22 +73,24 @@ class ThresholdSolution:
 
 
 def _sorted_rows(blips, masses) -> tuple[np.ndarray, np.ndarray]:
-    """Blips in ascending order with their masses, normalized to sum to 1."""
+    """Blips in ascending order with their masses, normalized to sum to 1.
+
+    Without masses every row weighs 1/n, held as one broadcast value.
+    """
     b = np.asarray(blips, dtype=float)
     if b.size == 0:
         raise ValueError("empty blip list")
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite blip values")
-    if masses is None:
-        m = np.full(b.size, 1.0 / b.size)
-    else:
-        m = np.asarray(masses, dtype=float)
-        if m.shape != b.shape:
-            raise ValueError("masses must align with blips")
-        if np.any(m < 0) or m.sum() <= 0:
-            raise ValueError("masses must be nonnegative with positive total")
-        m = m / m.sum()
     order = np.argsort(b, kind="stable")
+    if masses is None:
+        return b[order], np.broadcast_to(1.0 / b.size, b.shape)
+    m = np.asarray(masses, dtype=float)
+    if m.shape != b.shape:
+        raise ValueError("masses must align with blips")
+    if np.any(m < 0) or m.sum() <= 0:
+        raise ValueError("masses must be nonnegative with positive total")
+    m = m / m.sum()
     return b[order], m[order]
 
 
@@ -93,11 +103,12 @@ def _group_atoms(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its predecessor always starts an atom, so only the runs of rows
     joined by near gaps are walked, one atom per step. Masses are summed
     left to right, as a row-by-row merge would; pairwise summation
-    (np.sum, reduceat) could change the last bits.
+    (np.sum, reduceat) could change the last bits. When every row is its
+    own atom, b and m are returned as they are.
     """
     near = np.diff(b) <= TIE_TOL
     if not near.any():
-        return b.copy(), m.copy()
+        return b, m
     starts = np.ones(b.size, dtype=bool)
     weights = m.copy()
     edges = np.diff(np.concatenate(([False], near, [False])).astype(np.int8))
@@ -129,38 +140,78 @@ def _tied(b: np.ndarray, tau: float) -> np.ndarray:
     return (d >= 0.0) & (d <= TIE_TOL)
 
 
+@dataclass(frozen=True, eq=False)
+class AtomTable:
+    """A blip distribution grouped into atoms, ready to solve any budget.
+
+    rows and masses are the blips in ascending order and their masses
+    (summing to 1); values and weights are the atoms' representatives
+    and masses, and top_mass[r] the mass of the r highest atoms, which
+    never decreases in r. When every row is its own atom, values and
+    weights are rows and masses themselves, and uniform masses are one
+    broadcast value, so the table adds one array to its sorted rows.
+    len() is the number of rows.
+    """
+
+    rows: np.ndarray
+    masses: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+    top_mass: np.ndarray
+    total: float  # 1 after normalization, up to summation dust
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def atom_table(blips: Sequence[float], masses: Sequence[float] | None = None) -> AtomTable:
+    """Sort and group blips (optionally weighted by masses) into atoms."""
+    b, m = _sorted_rows(blips, masses)
+    values, weights = _group_atoms(b, m)
+    top_mass = np.concatenate(([0.0], np.cumsum(weights[::-1])[:-1]))
+    return AtomTable(b, m, values, weights, top_mass, float(weights.sum()))
+
+
 def solve_threshold(
-    blips: Sequence[float],
+    blips: Sequence[float] | AtomTable,
     kappa: float,
     masses: Sequence[float] | None = None,
 ) -> ThresholdSolution:
     """Solve for the constrained rule's threshold on a blip distribution.
 
-    blips may be raw per-row predictions (each carrying weight 1/n) or,
-    with `masses`, the atoms of a discrete distribution.
+    blips may be raw per-row predictions (each carrying weight 1/n),
+    with `masses` the atoms of a discrete distribution, or an AtomTable
+    built once to solve many budgets on.
     """
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0, 1]")
-    b, m = _sorted_rows(blips, masses)
-    values, weights = _group_atoms(b, m)
-    # tail mass strictly above each atom; S is right-continuous, so the
-    # infimum is attained at an atom (or never binds and eta = -inf)
-    tail_above = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
-    total = float(weights.sum())  # 1 after normalization, up to summation dust
-    if kappa >= total - 1e-12:
+    if isinstance(blips, AtomTable):
+        if masses is not None:
+            raise ValueError("an AtomTable carries its own masses")
+        table = blips
+    else:
+        table = atom_table(blips, masses)
+    values, weights = table.values, table.weights
+    # S is right-continuous, so the infimum is attained at an atom (or
+    # never binds and eta = -inf): the first atom whose strict tail mass,
+    # top_mass read from the other end, fits
+    if kappa >= table.total - 1e-12:
         eta = float("-inf")
     else:
-        j = int(np.argmax(tail_above <= kappa))  # first atom whose strict tail fits
+        j = len(values) - int(np.searchsorted(table.top_mass, kappa, "right"))
         eta = float(values[j])
     tau = max(eta, 0.0)
 
     if tau > 0.0:
-        s_at_tau = float(weights[_above(values, eta)].sum())
+        # atoms lie more than TIE_TOL apart: the ones after eta's are
+        # above it, and eta's is the only one tied at tau
+        s_at_tau = float(weights[j + 1:].sum())
+        tie_mass = float(weights[j:j + 1].sum())
     else:
         # the unconstrained rule's B > 0 splits atoms that straddle zero,
         # so count rows, not atoms
-        s_at_tau = float(m[_above(b, eta)].sum())
-    tie_mass = float(weights[_tied(values, tau)].sum())
+        s_at_tau = float(table.masses[_above(table.rows, eta)].sum())
+        tie_mass = float(weights[_tied(values, tau)].sum())
     if tau > 0.0 and tie_mass > 0.0:
         tie_prob = (kappa - s_at_tau) / tie_mass
         tie_prob = float(min(max(tie_prob, 0.0), 1.0))
@@ -182,10 +233,9 @@ def blip_atoms(blips: Sequence[float]) -> list[tuple[float, int]]:
     The atoms of the empirical blip distribution, as used for tie
     handling; suitable for histogram-style summaries of a fitted rule.
     """
-    b, m = _sorted_rows(blips, None)
-    values, weights = _group_atoms(b, m)
-    counts = np.rint(weights * b.size).astype(int)
-    return [(float(v), int(c)) for v, c in zip(values, counts)]
+    table = atom_table(blips)
+    counts = np.rint(table.weights * len(table)).astype(int)
+    return [(float(v), int(c)) for v, c in zip(table.values, counts)]
 
 
 def assign_from_blips(b: np.ndarray, sol: ThresholdSolution) -> np.ndarray:

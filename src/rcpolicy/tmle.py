@@ -46,8 +46,8 @@ from .learners import (
     fit_propensity,
     stratified_folds,
 )
-from .rule import (StaticPolicy, assign_from_blips, build_policy, solve_threshold,
-                   treated_fractions)
+from .rule import (AtomTable, StaticPolicy, assign_from_blips, atom_table, build_policy,
+                   solve_threshold, treated_fractions)
 
 __all__ = [
     "Assignment",
@@ -188,14 +188,18 @@ class CvNuisance:
     """Per-fold nuisance fits scattered back to original row order.
 
     q0/q1/g1/val_blip[i] come from the fold whose validation set holds
-    row i. train_blips[v] are fold v's blip predictions on its own
-    training rows, the distribution the per-fold threshold is solved on,
-    sorted ascending (every row has mass 1/n, so order changes no
-    solution). val_blip and train_blips are empty when the nuisance was
-    fit without blips; such a nuisance serves policy objects only. A
+    row i. Per fold, in the order of np.unique(fold_id): fold_rows[v]
+    are the indices of fold v's validation rows, and tables[v] the atom
+    table of its blip predictions on its own training rows, the
+    distribution the fold's threshold is solved on at every budget. The
+    tables are built once, in `fit_folds`. val_blip and tables are empty
+    when the nuisance was fit without blips; such a nuisance serves
+    policy objects only. A
     one-fold nuisance (`one_fold`) does no cross-fitting: it holds
-    supplied q and g predicted on every row. The outcome's original
-    bounds are ds.y_scale.
+    supplied q and g predicted on every row. fold_rows and the logits of
+    q0, q1 and of q at the observed arm (logit_q_obs), which every
+    fluctuation starts from, are derived from the fields above when the
+    nuisance is made. The outcome's original bounds are ds.y_scale.
     """
 
     ds: Dataset  # scaled copy of the analysis data
@@ -204,9 +208,24 @@ class CvNuisance:
     q1: np.ndarray
     g1: np.ndarray
     val_blip: np.ndarray
-    train_blips: tuple[np.ndarray, ...]
+    tables: tuple[AtomTable, ...]
     config: PipelineConfig
     warnings: tuple[str, ...] = ()
+    fold_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    logit_q0: np.ndarray = field(init=False, repr=False)
+    logit_q1: np.ndarray = field(init=False, repr=False)
+    logit_q_obs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lq0, lq1 = logit(self.q0), logit(self.q1)
+        derived = dict(
+            fold_rows=tuple(np.flatnonzero(self.fold_id == v) for v in np.unique(self.fold_id)),
+            logit_q0=lq0,
+            logit_q1=lq1,
+            logit_q_obs=np.where(self.ds.a == 1, lq1, lq0),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
     @property
     def n(self) -> int:
@@ -214,7 +233,7 @@ class CvNuisance:
 
     @property
     def folds(self) -> int:
-        return len(np.unique(self.fold_id))
+        return len(self.fold_rows)
 
     @classmethod
     def one_fold(cls, ds: Dataset, q: OutcomeModel, g: PropensityModel,
@@ -222,8 +241,8 @@ class CvNuisance:
         """q and g predicted on every row of ds, as one fold without blips."""
         ds = scale_outcome(ds)
         return cls(ds=ds, fold_id=np.zeros(ds.n, dtype=int), q0=q.predict(0, ds.w),
-                   q1=q.predict(1, ds.w), g1=g.predict(ds.w), val_blip=np.empty(0),
-                   train_blips=(), config=config or PipelineConfig())
+                   q1=q.predict(1, ds.w), g1=g.predict(ds.w), val_blip=np.empty(0), tables=(),
+                   config=config or PipelineConfig())
 
 
 def fit_nuisance(ds: Dataset, cfg: PipelineConfig, q_seed: int, blip_seed: int | None = None):
@@ -272,7 +291,7 @@ def fit_folds(
     q1 = np.empty(n)
     g1 = np.empty(n)
     val_blip = np.empty(n if blips else 0)
-    train_blips: list[np.ndarray] = []
+    tables: list[AtomTable] = []
     warnings: list[str] = []
 
     for v in fold_values:
@@ -292,9 +311,7 @@ def fit_folds(
         g1[val] = g.predict(ds.w[val])
         if blip is not None:
             val_blip[val] = blip.predict(ds.w[val])
-            # stable, so the stored order is the one solve_threshold's own
-            # stable argsort gives (signed zeros included), now found in O(n)
-            train_blips.append(np.sort(blip.predict(train_ds.w), kind="stable"))
+            tables.append(atom_table(blip.predict(train_ds.w)))
         warnings.extend(f"fold {v}: {w_msg}" for w_msg in fit_warnings)
 
     return CvNuisance(
@@ -304,7 +321,7 @@ def fit_folds(
         q1=q1,
         g1=g1,
         val_blip=val_blip,
-        train_blips=tuple(train_blips),
+        tables=tuple(tables),
         config=cfg,
         warnings=tuple(dict.fromkeys(warnings)),
     )
@@ -350,16 +367,15 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
         tau = float(target.tau)
         return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau),
                           *treated_fractions(gtilde1))
-    if not nuis.train_blips:
+    if not nuis.tables:
         raise ValueError("a budget target needs a nuisance fit with blips")
     kappa = float(target)
     gtilde1 = np.empty(nuis.n)
     tau_row = np.empty(nuis.n)
-    for v, tb in zip(np.unique(nuis.fold_id), nuis.train_blips):
-        val = nuis.fold_id == v
-        sol = solve_threshold(tb, kappa)
-        gtilde1[val] = assign_from_blips(nuis.val_blip[val], sol)
-        tau_row[val] = sol.tau
+    for rows, table in zip(nuis.fold_rows, nuis.tables):
+        sol = solve_threshold(table, kappa)
+        gtilde1[rows] = assign_from_blips(nuis.val_blip[rows], sol)
+        tau_row[rows] = sol.tau
     return Assignment(f"kappa={kappa:g}", kappa, gtilde1, tau_row, *treated_fractions(gtilde1))
 
 
@@ -369,7 +385,7 @@ def assignment_for(nuis: CvNuisance, target) -> Assignment:
 
 def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
     """Pooled fluctuation and plug-in value for a resolved assignment."""
-    y, a, q0, q1, g1 = nuis.ds.y, nuis.ds.a, nuis.q0, nuis.q1, nuis.g1
+    y, a, g1 = nuis.ds.y, nuis.ds.a, nuis.g1
     n = len(y)
     lo, hi = nuis.ds.y_scale
     z = nuis.config.z_value
@@ -378,12 +394,11 @@ def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
     h1 = gt1 / g1
     h0 = (1.0 - gt1) / (1.0 - g1)
     h_obs = np.where(a == 1, h1, h0)
-    q_obs = np.where(a == 1, q1, q0)
 
-    eps, score, fluct_warn = _fluctuate(logit(q_obs), h_obs, y)
+    eps, score, fluct_warn = _fluctuate(nuis.logit_q_obs, h_obs, y)
     warnings = nuis.warnings if fluct_warn is None else (*nuis.warnings, fluct_warn)
-    q1_star = expit(logit(q1) + eps)
-    q0_star = expit(logit(q0) + eps)
+    q1_star = expit(nuis.logit_q1 + eps)
+    q0_star = expit(nuis.logit_q0 + eps)
     q_obs_star = np.where(a == 1, q1_star, q0_star)
 
     plugin_row = q1_star * gt1 + q0_star * (1.0 - gt1)

@@ -13,7 +13,7 @@ from rcpolicy import (
     solve_threshold,
 )
 from rcpolicy.dgp import ADAPTR_BLIPS, ADAPTR_MASSES
-from rcpolicy.rule import TIE_TOL, _group_atoms
+from rcpolicy.rule import TIE_TOL, AtomTable, _group_atoms, atom_table
 
 MASSES = np.array(ADAPTR_MASSES)
 BLIPS = np.array(ADAPTR_BLIPS)
@@ -302,3 +302,83 @@ def test_solve_threshold_on_stably_presorted_blips_is_unchanged(blips, kappa):
     b = np.asarray(blips, dtype=float)
     presorted = np.sort(b, kind="stable")
     assert _hex(solve_threshold(presorted, kappa)) == _hex(solve_threshold(b, kappa))
+
+
+# --- prebuilt atom tables: one table, every budget -----------------------------
+
+
+def _solve_by_masks(blips, kappa, masses=None):
+    """Reference: the per-call solver, masks over every atom and row.
+
+    Rows are grouped by the row-by-row merge, eta is the first atom
+    (argmax) whose strict tail mass fits, and every mass is summed over a
+    boolean mask.
+    """
+    b = np.asarray(blips, dtype=float)
+    m = np.full(b.size, 1.0 / b.size) if masses is None else np.asarray(masses) / np.sum(masses)
+    order = np.argsort(b, kind="stable")
+    b, m = b[order], m[order]
+    values, weights = _group_atoms_by_row(b, m)
+    tail_above = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
+    if kappa >= float(weights.sum()) - 1e-12:
+        eta = float("-inf")
+    else:
+        eta = float(values[int(np.argmax(tail_above <= kappa))])
+    tau = max(eta, 0.0)
+    if tau > 0.0:
+        s_at_tau = float(weights[(values > 0.0) & (values - eta > TIE_TOL)].sum())
+    else:
+        s_at_tau = float(m[(b > 0.0) & (b - eta > TIE_TOL)].sum())
+    d = values - tau
+    tie_mass = float(weights[(d >= 0.0) & (d <= TIE_TOL)].sum())
+    tie_prob = 0.0
+    if tau > 0.0 and tie_mass > 0.0:
+        tie_prob = float(min(max((kappa - s_at_tau) / tie_mass, 0.0), 1.0))
+    return tuple(float(x).hex() for x in (kappa, eta, tau, s_at_tau, tie_mass, tie_prob))
+
+
+@st.composite
+def blip_distributions(draw):
+    """Shuffled blips with optional masses: tie-free rows, heavy exact and
+    near ties, and atoms straddling zero."""
+    b, m = draw(st.one_of(
+        sorted_rows(),
+        st.lists(st.sampled_from([-0.2, -5e-10, -0.0, 0.0, 3e-10, 0.1, 0.1 + 4e-10, 0.4]),
+                 min_size=1, max_size=60).map(lambda v: (np.array(v), None)),
+    ))
+    if m is not None and m.sum() <= 0:
+        m = None
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(b.size)
+    return b[order], None if m is None else m[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dist=blip_distributions(),
+       kappas=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
+       picks=st.lists(st.integers(0, 10**6), max_size=4))
+@example(dist=(np.array([0.3, 0.1, 0.2, 0.4]), None), kappas=[0.25, 0.5, 0.75], picks=[])
+@example(dist=(np.full(7, 0.2), None), kappas=[0.5], picks=[])
+@example(dist=(np.array([-1e-9, -2e-10, 4e-10, 0.5]), np.array([1.0, 2.0, 0.0, 1.0])),
+         kappas=[0.2], picks=[0, 1, 2, 3])
+def test_grid_on_one_table_matches_a_fresh_solve_per_budget(dist, kappas, picks):
+    b, m = dist
+    table = atom_table(b, m)
+    assert isinstance(table, AtomTable) and len(table) == b.size
+    # budgets 0 and 1, and budgets equal to an exact tail mass of an atom
+    exact = [float(table.top_mass[p % len(table.top_mass)]) for p in picks]
+    for kappa in [0.0, 1.0, *kappas, *exact]:
+        from_table = _hex(solve_threshold(table, kappa))
+        assert from_table == _hex(solve_threshold(b, kappa, masses=m))
+        assert from_table == _solve_by_masks(b, kappa, m)
+
+
+def test_tie_free_table_keeps_its_rows_as_atoms():
+    table = atom_table([0.3, 0.1, 0.2])
+    assert table.values is table.rows and table.weights is table.masses
+    assert table.masses.strides == (0,)  # one broadcast 1/n, not n copies
+    assert np.array_equal(table.top_mass, [0.0, 1 / 3, 2 / 3])
+
+
+def test_table_carries_its_own_masses():
+    with pytest.raises(ValueError, match="masses"):
+        solve_threshold(atom_table(BLIPS, MASSES), 0.5, masses=MASSES)

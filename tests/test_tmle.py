@@ -21,7 +21,8 @@ from rcpolicy import (
     null_effect,
     tmle_value,
 )
-from rcpolicy.tmle import assignment_for, value_from_assignment
+from rcpolicy.glm import logit
+from rcpolicy.tmle import CvNuisance, assignment_for, value_from_assignment
 
 
 # --- seed derivation ---------------------------------------------------------
@@ -268,13 +269,60 @@ def test_fit_without_blips_keeps_q_and_g(adaptr_2k, lean_config):
             assert np.array_equal(getattr(lean, key), getattr(full, key)), key
         assert lean.ds.y_scale == full.ds.y_scale
         assert lean.folds == full.folds == 3
-        assert lean.train_blips == () and lean.val_blip.size == 0
-        assert all(np.all(np.diff(tb) >= 0) for tb in full.train_blips)
+        assert lean.tables == () and lean.val_blip.size == 0
+        assert all(np.all(np.diff(t.rows) >= 0) for t in full.tables)
         static = assignment_for(lean, StaticPolicy(1))
         assert np.all(static.tau_row == 0)
         assert value_from_assignment(lean, static).psi == value_from_assignment(full, static).psi
         with pytest.raises(ValueError, match="blips"):
             assignment_for(lean, 0.5)
+
+
+def _count_table_work(monkeypatch):
+    """Count atom-table builds and the solves made on a prebuilt table."""
+    from rcpolicy import rule, tmle
+
+    calls = {"builds": 0, "solves": 0, "on_table": 0}
+    build, solve = rule.atom_table, rule.solve_threshold
+
+    def counted_build(*args, **kwargs):
+        calls["builds"] += 1
+        return build(*args, **kwargs)
+
+    def counted_solve(blips, *args, **kwargs):
+        calls["solves"] += 1
+        calls["on_table"] += isinstance(blips, rule.AtomTable)
+        return solve(blips, *args, **kwargs)
+
+    for mod in (rule, tmle):
+        monkeypatch.setattr(mod, "atom_table", counted_build)
+    monkeypatch.setattr(tmle, "solve_threshold", counted_solve)
+    return calls
+
+
+def test_each_fold_table_is_built_once_per_grid_and_curve(monkeypatch, lean_config):
+    from rcpolicy import icer_curve
+
+    ds = generate(continuous_blip(seed=3, with_cost=True), 600)
+    kappas = (0.1, 0.3, 0.5, 0.8, 1.0)
+    calls = _count_table_work(monkeypatch)
+    evaluate_grid(ds, kappas, lean_config)
+    folds = lean_config.folds
+    assert calls == {"builds": folds, "solves": folds * len(kappas), "on_table": folds * len(kappas)}
+
+    calls = _count_table_work(monkeypatch)
+    icer_curve(ds, kappas, "treat_none", lean_config)
+    # the cost side fits no blips, so only the outcome side's folds build
+    assert calls == {"builds": folds, "solves": folds * len(kappas), "on_table": folds * len(kappas)}
+
+
+def test_one_fold_nuisance_carries_the_logits(adaptr_2k):
+    nuis = CvNuisance.one_fold(adaptr_2k, OracleOutcomeModel(adaptr_like(seed=11)),
+                               OraclePropensityModel(adaptr_like(seed=11)))
+    assert nuis.folds == 1 and np.array_equal(nuis.fold_rows[0], np.arange(nuis.n))
+    assert np.array_equal(nuis.logit_q1, logit(nuis.q1))
+    q_obs = np.where(nuis.ds.a == 1, nuis.q1, nuis.q0)
+    assert np.array_equal(nuis.logit_q_obs, logit(q_obs))
 
 
 def test_training_fold_losing_an_arm_errors():
