@@ -33,7 +33,10 @@ about that. `fit_logistic(start=)` begins Newton at a caller's
 coefficients, the stacks' closest earlier fit. A start whose linear
 predictor exceeds `_SEPARATION_ETA` on the new rows is dropped, and a
 warm-started fit that falls back is refit from zero, so every fallback is
-the one a cold fit gives.
+the one a cold fit gives. A design that is one all-ones column (the
+stacks' `mean` candidate, stepwise's starting model) needs no Newton: its
+score equation's root is logit(mean y), and beyond `_SEPARATION_ETA` (or at
+a mean of 0 or 1) it takes the separation fallback Newton would reach.
 """
 from __future__ import annotations
 
@@ -157,6 +160,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, *, start: np.ndarray | None = Non
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
+    if p == 1 and np.all(X[:, 0] == 1.0):
+        return _logistic_intercept_only(X, y)
     XT = np.ascontiguousarray(X.T)
     if start is not None:
         eta = X @ start
@@ -213,13 +218,26 @@ def _intercept_col(X: np.ndarray) -> int:
     return 0
 
 
+def _intercept_logit(y: np.ndarray) -> float:
+    """Root of the intercept-only logistic score equation, logit(mean y)."""
+    with np.errstate(divide="ignore"):  # a mean of 0 or 1 has an infinite logit
+        return float(logit(np.mean(y)))
+
+
+def _logistic_intercept_only(X: np.ndarray, y: np.ndarray) -> GlmFit:
+    """The fit on a lone all-ones column, in closed form: logit(mean y),
+    or the separation fallback beyond `_SEPARATION_ETA`, as Newton gives."""
+    eta = _intercept_logit(y)
+    if not abs(eta) <= _SEPARATION_ETA:
+        return _logistic_intercept_fallback(X, y, "separation")
+    return GlmFit(coef=np.array([eta]), family="binomial")
+
+
 def _logistic_intercept_fallback(X: np.ndarray, y: np.ndarray, reason: str) -> GlmFit:
     """Intercept-only logistic fit, used when the full fit fails: its score
-    equation's root logit(mean y), clipped to the separation bound."""
-    with np.errstate(divide="ignore"):  # a mean of 0 or 1 has an infinite logit
-        eps = float(np.clip(logit(np.mean(y)), -_SEPARATION_ETA, _SEPARATION_ETA))
+    equation's root, clipped to the separation bound."""
     coef = np.zeros(X.shape[1])
-    coef[_intercept_col(X)] = eps
+    coef[_intercept_col(X)] = np.clip(_intercept_logit(y), -_SEPARATION_ETA, _SEPARATION_ETA)
     return GlmFit(coef=coef, family="binomial", fallback=reason)
 
 

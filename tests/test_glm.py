@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -244,6 +244,62 @@ def test_one_column_design_is_a_division_that_matches_lstsq(weighted, monkeypatc
     # a zero column fails the d > 0 guard: the design is singular
     assert _normal_solve(np.zeros((n, 1)), y, w) is None
     assert glm.fit_linear(np.zeros((n, 1)), y).fallback == "singular_design"
+
+
+# --- intercept-only logistic fits in closed form ----------------------------------
+
+
+@st.composite
+def _intercept_only_responses(draw):
+    """Responses whose mean lies near 0, near 1, near logit +-15 or anywhere."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["few_ones", "few_zeros", "fractional"]))
+    if kind == "fractional":
+        center = draw(st.one_of(st.floats(-17.0, 17.0), st.floats(14.0, 16.0),
+                                st.floats(-16.0, -14.0)))
+        y = expit(center + rng.normal(scale=draw(st.sampled_from([0.0, 0.01, 1.0])), size=n))
+    else:
+        y = np.zeros(n)
+        y[rng.permutation(n)[: min(n, draw(st.integers(0, 3)))]] = 1.0
+        if kind == "few_zeros":
+            y = 1.0 - y
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intercept_only_responses())
+@example(np.zeros(5))
+@example(np.ones(7))
+@example(np.full(3, 0.5))
+@example(np.full(4, expit(-15.5)))
+def test_intercept_only_closed_form_matches_newton_from_zero(y):
+    # Newton stops once |mean(y) - expit(b)| <= 1e-10, which pins b only to
+    # about 1e-10 / (p (1 - p)) for a mean p: 2.6e-6 at p = 0.9999833. So
+    # its coefficient is compared within that, and its probability within
+    # 1e-9. At the separation bound that is 6.5e-4, so a mean whose logit
+    # lies within 1e-3 of the bound may stop on either side of it.
+    p = float(np.mean(y))
+    with np.errstate(divide="ignore"):
+        root = float(glm.logit(p))
+    assume(not abs(abs(root) - glm._SEPARATION_ETA) < 1e-3)
+    X = np.ones((len(y), 1))
+    newton = glm._newton(X, np.ascontiguousarray(X.T), y, np.zeros(1), np.zeros(len(y)))
+    closed = glm.fit_logistic(X, y)
+    assert closed.fallback == newton.fallback
+    if newton.fallback is None:
+        assert abs(closed.coef[0] - newton.coef[0]) <= max(1e-9, 2e-10 / (p * (1.0 - p)))
+        assert abs(expit(closed.coef[0]) - expit(newton.coef[0])) <= 1e-9
+    else:
+        assert np.array_equal(closed.coef, newton.coef)
+
+
+def test_intercept_only_fit_runs_no_newton_step(monkeypatch):
+    monkeypatch.setattr(glm, "_newton", None)
+    y = np.array([0.0, 1.0, 1.0, 1.0])
+    fit = glm.fit_logistic(np.ones((4, 1)), y, start=np.array([3.0]))
+    assert fit.fallback is None and fit.coef[0] == glm.logit(0.75)
+    assert glm.fit_logistic(np.ones((4, 1)), np.ones(4)).fallback == "separation"
 
 
 # --- warm starts ----------------------------------------------------------------
