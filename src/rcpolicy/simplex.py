@@ -7,16 +7,20 @@ smallest cross-validated squared error.
 
 Active-set method in the style of Lawson-Hanson NNLS, extended with the
 sum-to-one equality constraint in the KKT system. The iteration starts at
-the best single candidate (first one in column order on ties, which is what
-breaks exact ties toward sparser weight vectors) and only grows the support
-when doing so strictly lowers the objective, so the returned risk is never
-above the best vertex risk.
+the best single candidate and only grows the support when doing so strictly
+lowers the objective, so the returned risk is never above the best vertex
+risk. Candidates whose risks lie within a relative `_RISK_RTOL` of the
+smallest count as tied, and the first of them in column order is the best:
+two candidates that predict alike to rounding (say a glm that fell back to
+its intercept and the mean) then do not trade all the weight on a
+last-bit difference in their risks.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _TOL = 1e-10  # KKT tolerance on the reduced gradient
+_RISK_RTOL = 1e-10  # vertex risks this close, relative to the smallest, tie
 
 
 def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -44,10 +48,11 @@ def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     def grad(w: np.ndarray) -> np.ndarray:
         return G @ w - c
 
-    # start at the best single candidate; argmin takes the first on ties
+    # start at the best single candidate, the first of any tied
     vertex_risks = np.mean((y[:, None] - Z) ** 2, axis=0)
+    best = _first_near_min(vertex_risks)
     w = np.zeros(k)
-    w[int(np.argmin(vertex_risks))] = 1.0
+    w[best] = 1.0
 
     support = w > 0
     for _ in range(50 * k + 50):
@@ -70,7 +75,7 @@ def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
             w[drop] = 0.0
             support = w > 0
             if not np.any(support):
-                support[int(np.argmin(vertex_risks))] = True
+                support[best] = True
                 w[:] = 0.0
                 w[support] = 1.0
             w_s = _solve_on_support(G, c, support)
@@ -88,6 +93,12 @@ def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
         j = int(np.argmin(np.where(off, g, np.inf)))
         support[j] = True
     return w  # iteration cap; w is feasible and near-optimal
+
+
+def _first_near_min(risks: np.ndarray) -> int:
+    """Index of the first risk within `_RISK_RTOL` of the smallest."""
+    lo = float(risks.min())
+    return int(np.flatnonzero(risks <= lo + _RISK_RTOL * abs(lo))[0])
 
 
 def _solve_on_support(G: np.ndarray, c: np.ndarray, support: np.ndarray) -> np.ndarray:
