@@ -161,7 +161,11 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, *, start: np.ndarray | None = Non
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if p == 1 and np.all(X[:, 0] == 1.0):
-        return _logistic_intercept_only(X, y)
+        # the score equation's root in closed form (see the module docstring)
+        b0 = _intercept_logit(y)
+        if abs(b0) <= _SEPARATION_ETA:
+            return GlmFit(coef=np.array([b0]), family="binomial")
+        return _logistic_intercept_fallback(X, y, "separation")
     XT = np.ascontiguousarray(X.T)
     if start is not None:
         eta = X @ start
@@ -222,15 +226,6 @@ def _intercept_logit(y: np.ndarray) -> float:
     """Root of the intercept-only logistic score equation, logit(mean y)."""
     with np.errstate(divide="ignore"):  # a mean of 0 or 1 has an infinite logit
         return float(logit(np.mean(y)))
-
-
-def _logistic_intercept_only(X: np.ndarray, y: np.ndarray) -> GlmFit:
-    """The fit on a lone all-ones column, in closed form: logit(mean y),
-    or the separation fallback beyond `_SEPARATION_ETA`, as Newton gives."""
-    eta = _intercept_logit(y)
-    if not abs(eta) <= _SEPARATION_ETA:
-        return _logistic_intercept_fallback(X, y, "separation")
-    return GlmFit(coef=np.array([eta]), family="binomial")
 
 
 def _logistic_intercept_fallback(X: np.ndarray, y: np.ndarray, reason: str) -> GlmFit:

@@ -31,7 +31,8 @@ rows as its atoms, and nothing loops; otherwise only the runs of
 near-tied rows are walked, one atom per step, and each atom's mass is
 summed left to right, row by row, so the atoms are the same to the last
 bit either way. A solve finds eta by a binary search on the mass above
-each atom and sums only the masses it reports.
+each atom, then sums the masses of the atoms after eta's (tau > 0) or of
+the treated rows (tau = 0).
 """
 from __future__ import annotations
 

@@ -8,12 +8,11 @@ smallest cross-validated squared error.
 Active-set method in the style of Lawson-Hanson NNLS, extended with the
 sum-to-one equality constraint in the KKT system. The iteration starts at
 the best single candidate and only grows the support when doing so strictly
-lowers the objective, so the returned risk is never above the best vertex
-risk. Candidates whose risks lie within a relative `_RISK_RTOL` of the
-smallest count as tied, and the first of them in column order is the best:
-two candidates that predict alike to rounding (say a glm that fell back to
-its intercept and the mean) then do not trade all the weight on a
-last-bit difference in their risks.
+lowers the objective, so the returned risk is never above the starting
+vertex's. The best candidate is the first in column order whose risk lies
+within a relative `_RISK_RTOL` of the smallest: two candidates that predict
+alike to rounding (say a glm that fell back to its intercept, and the mean)
+then do not trade all the weight on a last-bit difference in their risks.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     # start at the best single candidate, the first of any tied
     vertex_risks = np.mean((y[:, None] - Z) ** 2, axis=0)
-    best = _first_near_min(vertex_risks)
+    best = int(np.flatnonzero(vertex_risks <= (1.0 + _RISK_RTOL) * vertex_risks.min())[0])
     w = np.zeros(k)
     w[best] = 1.0
 
@@ -93,12 +92,6 @@ def simplex_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
         j = int(np.argmin(np.where(off, g, np.inf)))
         support[j] = True
     return w  # iteration cap; w is feasible and near-optimal
-
-
-def _first_near_min(risks: np.ndarray) -> int:
-    """Index of the first risk within `_RISK_RTOL` of the smallest."""
-    lo = float(risks.min())
-    return int(np.flatnonzero(risks <= lo + _RISK_RTOL * abs(lo))[0])
 
 
 def _solve_on_support(G: np.ndarray, c: np.ndarray, support: np.ndarray) -> np.ndarray:
