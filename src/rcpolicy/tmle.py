@@ -32,6 +32,7 @@ the outcome's original scale; internally everything runs on [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,18 +189,16 @@ class CvNuisance:
     """Per-fold nuisance fits scattered back to original row order.
 
     q0/q1/g1/val_blip[i] come from the fold whose validation set holds
-    row i. Per fold, in the order of np.unique(fold_id): fold_rows[v]
-    are the indices of fold v's validation rows, and tables[v] the atom
-    table of its blip predictions on its own training rows, the
-    distribution the fold's threshold is solved on at every budget. The
-    tables are built once, in `fit_folds`. val_blip and tables are empty
-    when the nuisance was fit without blips; such a nuisance serves
-    policy objects only. A
-    one-fold nuisance (`one_fold`) does no cross-fitting: it holds
-    supplied q and g predicted on every row. fold_rows and the logits of
-    q0, q1 and of q at the observed arm (logit_q_obs), which every
-    fluctuation starts from, are derived from the fields above when the
-    nuisance is made. The outcome's original bounds are ds.y_scale.
+    row i. tables[v] is the atom table of fold v's blip predictions on
+    its own training rows (folds in np.unique(fold_id) order), the
+    distribution the fold's threshold is solved on at every budget;
+    `fit_folds` builds each once. val_blip and tables are empty when the
+    nuisance was fit without blips; such a nuisance serves policy
+    objects only. A one-fold nuisance (`one_fold`) does no
+    cross-fitting: it holds supplied q and g predicted on every row.
+    The row indices of each fold (fold_rows) and the logits that every
+    fluctuation starts from are computed once, on first use. The
+    outcome's original bounds are ds.y_scale.
     """
 
     ds: Dataset  # scaled copy of the analysis data
@@ -211,21 +210,22 @@ class CvNuisance:
     tables: tuple[AtomTable, ...]
     config: PipelineConfig
     warnings: tuple[str, ...] = ()
-    fold_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    logit_q0: np.ndarray = field(init=False, repr=False)
-    logit_q1: np.ndarray = field(init=False, repr=False)
-    logit_q_obs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        lq0, lq1 = logit(self.q0), logit(self.q1)
-        derived = dict(
-            fold_rows=tuple(np.flatnonzero(self.fold_id == v) for v in np.unique(self.fold_id)),
-            logit_q0=lq0,
-            logit_q1=lq1,
-            logit_q_obs=np.where(self.ds.a == 1, lq1, lq0),
-        )
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)  # frozen: set once, here
+    @cached_property
+    def fold_rows(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.flatnonzero(self.fold_id == v) for v in np.unique(self.fold_id))
+
+    @cached_property
+    def logit_q0(self) -> np.ndarray:
+        return logit(self.q0)
+
+    @cached_property
+    def logit_q1(self) -> np.ndarray:
+        return logit(self.q1)
+
+    @cached_property
+    def logit_q_obs(self) -> np.ndarray:
+        return np.where(self.ds.a == 1, self.logit_q1, self.logit_q0)
 
     @property
     def n(self) -> int:
