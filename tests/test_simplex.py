@@ -49,7 +49,7 @@ def test_simplex_constraints_and_vertex_dominance(seed, k):
 
 
 @settings(deadline=None, max_examples=100)
-@given(seed=rng_seeds, ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=8),
+@given(seed=rng_seeds, ulps=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=8),
        k=st.integers(min_value=2, max_value=4))
 def test_an_ulp_perturbation_of_a_column_does_not_move_the_weight(seed, ulps, k):
     # a candidate and a copy with entries one ulp off tie: whichever side of
