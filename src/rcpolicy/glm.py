@@ -54,8 +54,10 @@ _IRLS_TOL = 1e-10
 # Smallest Cholesky pivot of the unit-diagonal Gram matrix that the normal
 # equations accept; below it the solve goes to SVD least squares.
 _MIN_PIVOT = 1e-3
-# `gaussian_aic` reads an RSS below this share of y'y as an exact fit.
+# `aic` reads a gaussian RSS below this share of y'y as an exact fit.
 _RSS_FLOOR = 1e-20
+# Most columns `forward_stepwise_aic` adds to the intercept.
+STEPWISE_MAX_TERMS = 5
 
 
 @dataclass
@@ -250,28 +252,24 @@ def aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
     return n * np.log(rss / n) + 2 * X.shape[1]
 
 
-def forward_stepwise_aic(
-    candidate_cols: list[np.ndarray], y: np.ndarray, family: str, max_terms: int = 5
-) -> tuple[list[int], GlmFit]:
-    """Greedy forward selection by AIC over candidate columns.
+def forward_stepwise_aic(T: np.ndarray, y: np.ndarray, family: str) -> tuple[list[int], GlmFit]:
+    """Greedy forward selection by AIC over the columns of T.
 
-    Starts from the intercept-only model and adds at most `max_terms`
-    columns, each time taking the single addition that lowers AIC most.
-    Returns the chosen column indices (into candidate_cols) and the fit
-    on [intercept, chosen columns].
+    Column 0 is the intercept and is always in the model. Starting from it
+    alone, adds at most `STEPWISE_MAX_TERMS` of columns 1.., each time
+    taking the single addition that lowers AIC most. Returns the chosen
+    columns of T, in order of entry, and the fit on T's columns
+    (0, *chosen), stacked C-contiguous.
     """
-    n = len(y)
-    ones = np.ones((n, 1))
-
     def fit_on(idx: list[int], start: np.ndarray | None = None) -> tuple[GlmFit, float]:
-        X = np.hstack([ones] + [candidate_cols[j][:, None] for j in idx]) if idx else ones
+        X = np.column_stack([T[:, j] for j in (0, *idx)])
         f = fit(X, y, family, start)
         return f, aic(X, y, f)
 
     chosen: list[int] = []
     best_fit, best_aic = fit_on(chosen)
-    remaining = list(range(len(candidate_cols)))
-    while remaining and len(chosen) < max_terms:
+    remaining = list(range(1, T.shape[1]))
+    while remaining and len(chosen) < STEPWISE_MAX_TERMS:
         # a logistic trial starts from the current model, 0 for the new term
         start = None if best_fit.fallback else np.append(best_fit.coef, 0.0)
         trial = [(j, *fit_on(chosen + [j], start)) for j in remaining]

@@ -7,12 +7,16 @@ share one stack type and one fitting routine: each candidate is fit per
 cross-validation fold, the held-out predictions form a matrix, and the
 weights minimize held-out squared error over the probability simplex.
 
-Library specs (strings):
-    "mean"        intercept-only
-    "glm"         main terms; (A, W, A*W) for the outcome, W for the blip
+Every candidate is a linear model on a subset of the columns of its
+stack's term matrix: [1, A, W..., A*W...] for the outcome, [1, W...] for
+the blip. Each column is tagged with the covariate it carries (none for
+the intercept and A), and a library spec (string) picks columns by tag:
+    "mean"        the intercept alone
+    "glm"         every column
     "univariate"  one model per covariate (expands to "uni:<name>")
-    "uni:<name>"  single-covariate model
-    "step_aic"    forward stepwise by AIC, at most 5 terms
+    "uni:<name>"  the untagged columns plus that covariate's
+    "step_aic"    forward stepwise by AIC over the columns, adding at
+                  most glm.STEPWISE_MAX_TERMS (5) to the intercept
 
 Degenerate fits (singular designs, separation) fall back to
 intercept-only candidates and the reason lands in the model's warnings.
@@ -43,7 +47,6 @@ __all__ = [
 ]
 
 PRED_CLIP = 1e-6  # keeps logistic offsets finite
-STEPWISE_MAX_TERMS = 5
 
 _FOLD_STREAM = 101  # rng stream tags under the master seed
 _SEED_DEFAULT = 0
@@ -77,9 +80,6 @@ def stratified_folds(a: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # candidate machinery
 
-# Candidates are linear scorers over a shared term matrix. For the
-# outcome the terms are [1, A, W..., A*W...]; for the blip just [1, W...].
-
 
 @dataclass(frozen=True)
 class LinearScorer:
@@ -103,55 +103,35 @@ def _blip_terms(w: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(w.shape[0]), w])
 
 
-def _expand_library(library: Sequence[str], covariate_names: Sequence[str]) -> list[str]:
-    names = list(covariate_names)
-    out: list[str] = []
-    for spec in library:
-        if spec == "univariate":
-            out.extend(f"uni:{nm}" for nm in names)
-        elif spec in ("mean", "glm", "step_aic") or spec.startswith("uni:"):
-            out.append(spec)
+def _candidates(
+    library: Sequence[str], tags: Sequence[str | None]
+) -> list[tuple[str, tuple[int, ...] | None]]:
+    """(spec, term columns) of each candidate in `library`, by the rule in
+    the module docstring; tags[j] is the covariate term column j carries
+    (None for the intercept and A). Stepwise's columns are None: the data
+    picks them. A repeated spec keeps its first place, which breaks ties.
+    """
+    names = list(dict.fromkeys(t for t in tags if t is not None))
+    specs = [s for spec in library
+             for s in ([f"uni:{nm}" for nm in names] if spec == "univariate" else [spec])]
+    out = []
+    for spec in dict.fromkeys(specs):
+        if spec == "mean":
+            terms = (0,)
+        elif spec == "glm":
+            terms = tuple(range(len(tags)))
+        elif spec == "step_aic":
+            terms = None
+        elif spec.startswith("uni:"):
+            if spec[4:] not in names:
+                raise ValueError(f"unknown covariate in learner spec {spec!r}")
+            terms = tuple(j for j, t in enumerate(tags) if t in (None, spec[4:]))
         else:
             raise ValueError(f"unknown learner spec {spec!r}")
+        out.append((spec, terms))
     if not out:
         raise ValueError("empty learner library")
-    # drop duplicates, keep first occurrence (order sets tie-breaking)
-    seen: set[str] = set()
-    uniq = [s for s in out if not (s in seen or seen.add(s))]
-    return uniq
-
-
-def _candidate_terms(
-    spec: str, covariate_names: Sequence[str], kind: str
-) -> tuple[int, ...] | None:
-    """Term columns for a candidate; None means stepwise (data-dependent)."""
-    p = len(covariate_names)
-    if kind == "outcome":
-        w_cols = {nm: 2 + j for j, nm in enumerate(covariate_names)}
-        aw_cols = {nm: 2 + p + j for j, nm in enumerate(covariate_names)}
-        if spec == "mean":
-            return (0,)
-        if spec == "glm":
-            return (0, 1, *range(2, 2 + 2 * p))
-        if spec.startswith("uni:"):
-            nm = spec[4:]
-            if nm not in w_cols:
-                raise ValueError(f"unknown covariate in learner spec {spec!r}")
-            return (0, 1, w_cols[nm], aw_cols[nm])
-    else:
-        w_cols = {nm: 1 + j for j, nm in enumerate(covariate_names)}
-        if spec == "mean":
-            return (0,)
-        if spec == "glm":
-            return (0, *range(1, 1 + p))
-        if spec.startswith("uni:"):
-            nm = spec[4:]
-            if nm not in w_cols:
-                raise ValueError(f"unknown covariate in learner spec {spec!r}")
-            return (0, w_cols[nm])
-    if spec == "step_aic":
-        return None
-    raise ValueError(f"unknown learner spec {spec!r}")
+    return out
 
 
 def _fit_candidate(
@@ -161,11 +141,8 @@ def _fit_candidate(
     """Fit one candidate on term matrix T; a logistic fit with fixed terms
     starts from `start`."""
     if terms is None:
-        # stepwise: pool of non-intercept terms, greedy AIC selection
-        pool = list(range(1, T.shape[1]))
-        cols = [T[:, j] for j in pool]
-        chosen, fit = glm.forward_stepwise_aic(cols, y, family, STEPWISE_MAX_TERMS)
-        return LinearScorer(spec, (0, *[pool[j] for j in chosen]), fit)
+        chosen, fit = glm.forward_stepwise_aic(T, y, family)
+        return LinearScorer(spec, (0, *chosen), fit)
     return LinearScorer(spec, terms, glm.fit(T[:, terms], y, family, start))
 
 
@@ -193,23 +170,24 @@ class _Stack:
         return out
 
 
-def _fit_stack(cls, ds: Dataset, T: np.ndarray, y: np.ndarray, family: str, kind: str,
-               library: Sequence[str], folds: int, seed: int):
+def _fit_stack(cls, ds: Dataset, T: np.ndarray, tags: Sequence[str | None], y: np.ndarray,
+               family: str, library: Sequence[str], folds: int, seed: int):
     """A `cls` stack of `library` on term matrix T: cross-validated
     candidate predictions, simplex weights, full-data refits.
 
-    Every candidate design is a column subset of T (column 0 is the
-    intercept). Each candidate's fit that did not fall back is the start
-    of its next fit: the next training split's, and after the last split
-    the full-data refit's.
+    Every candidate design is a column subset of T: column 0 is the
+    intercept, and tags[j] names the covariate column j carries (None
+    for the intercept and for A), which is all `_candidates` reads.
+    Stepwise picks among the same columns. Each candidate's fit that did
+    not fall back is the start of its next fit: the next training
+    split's, and after the last split the full-data refit's.
     """
     from .simplex import simplex_lstsq
 
     if ds.n < folds:
         raise ValueError("need n >= folds")
-    specs = _expand_library(library, ds.covariate_names)
+    specs, terms = zip(*_candidates(library, tags))
     fold_id = stratified_folds(ds.a, folds, seed)
-    terms = [_candidate_terms(spec, ds.covariate_names, kind) for spec in specs]
     Z = np.empty((len(y), len(specs)))
     warnings: list[str] = []
     starts: list[np.ndarray | None] = [None] * len(specs)
@@ -270,8 +248,9 @@ def fit_outcome(
     if np.any(ds.y < 0) or np.any(ds.y > 1):
         raise ValueError("outcome must be scaled to [0, 1] before fitting")
     family = "binomial" if ds.outcome_kind == "binary" else "gaussian"
-    return _fit_stack(OutcomeModel, ds, _outcome_terms(ds.a, ds.w), ds.y, family, "outcome",
-                      library, folds, seed)
+    names = ds.covariate_names
+    return _fit_stack(OutcomeModel, ds, _outcome_terms(ds.a, ds.w), (None, None, *names, *names),
+                      ds.y, family, library, folds, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +387,8 @@ def fit_blip(
     weights live on the probability simplex, so the ensemble's CV risk
     is never above the best single candidate's.
     """
-    return _fit_stack(BlipModel, ds, _blip_terms(ds.w), make_pseudo_outcome(ds, q, g),
-                      "gaussian", "blip", library, folds, seed)
+    return _fit_stack(BlipModel, ds, _blip_terms(ds.w), (None, *ds.covariate_names),
+                      make_pseudo_outcome(ds, q, g), "gaussian", library, folds, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,18 @@ def test_intercept_fallback_solves_mean_score():
     assert abs(np.mean(y - expit(fit.coef[1]))) < 1e-8
 
 
+def _with_intercept(cols):
+    """A term matrix: a ones column, then cols (column j + 1 is cols[j])."""
+    return np.column_stack([np.ones(len(cols[0])), *cols])
+
+
 def test_stepwise_selects_true_term():
     rng = np.random.default_rng(4)
     n = 2000
     cols = [rng.normal(size=n) for _ in range(5)]
     y = 1.5 * cols[2] + rng.normal(scale=0.5, size=n)
-    chosen, fit = glm.forward_stepwise_aic(cols, y, family="gaussian")
-    assert 2 in chosen
+    chosen, fit = glm.forward_stepwise_aic(_with_intercept(cols), y, family="gaussian")
+    assert 3 in chosen
     assert fit.family == "gaussian"
 
 
@@ -86,8 +91,9 @@ def test_stepwise_caps_terms():
     n = 400
     cols = [rng.normal(size=n) for _ in range(8)]
     y = sum(cols) + rng.normal(scale=0.1, size=n)
-    chosen, _ = glm.forward_stepwise_aic(cols, y, family="gaussian", max_terms=5)
-    assert len(chosen) <= 5
+    chosen, _ = glm.forward_stepwise_aic(_with_intercept(cols), y, family="gaussian")
+    assert len(chosen) == glm.STEPWISE_MAX_TERMS == 5
+    assert 0 not in chosen
 
 
 def test_stepwise_null_signal_stays_small():
@@ -95,8 +101,31 @@ def test_stepwise_null_signal_stays_small():
     n = 300
     cols = [rng.normal(size=n) for _ in range(4)]
     y = rng.normal(size=n)
-    chosen, _ = glm.forward_stepwise_aic(cols, y, family="gaussian")
+    chosen, _ = glm.forward_stepwise_aic(_with_intercept(cols), y, family="gaussian")
     assert len(chosen) <= 2  # AIC should not load up on noise
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+def test_stepwise_fit_is_the_fit_on_the_stacked_picked_columns(family):
+    # the design is T's columns (0, *chosen) stacked C-contiguous; a
+    # column-major T[:, idx] can round the fit differently in its last bits
+    rng = np.random.default_rng(19)
+    n = 500
+    a = rng.binomial(1, 0.5, n).astype(float)
+    w = rng.normal(size=(n, 3))
+    T = np.column_stack([np.ones(n), a, w, a[:, None] * w])
+    eta = -0.3 + 0.8 * a + 0.6 * w[:, 0] - 0.5 * a * w[:, 2]
+    y = rng.binomial(1, expit(eta)).astype(float) if family == "binomial" else eta
+    y = y + (rng.normal(scale=0.3, size=n) if family == "gaussian" else 0.0)
+    chosen, fit = glm.forward_stepwise_aic(T, y, family)
+    assert len(chosen) >= 2 and 0 not in chosen
+    # each accepted model starts from the one before it, 0 for the new term
+    ref = None
+    for k in range(len(chosen) + 1):
+        start = None if ref is None else np.append(ref.coef, 0.0)
+        ref = glm.fit(np.column_stack([T[:, j] for j in (0, *chosen[:k])]), y, family, start)
+    assert fit.coef.tobytes() == ref.coef.tobytes()
+    assert fit.fallback is None and ref.fallback is None
 
 
 # --- solver: normal equations with an SVD fallback ---------------------------
@@ -374,13 +403,13 @@ def test_exact_fit_stepwise_stops_at_the_first_exact_term(monkeypatch):
     n = 500
     a = rng.binomial(1, 0.5, n).astype(float)
     w = rng.normal(size=(n, 2))
-    cols = [w[:, 0], a, w[:, 1], a * w[:, 0], a * w[:, 1]]
-    chosen, fit = glm.forward_stepwise_aic(cols, a, "gaussian")
-    assert chosen == [1]
+    T = _with_intercept([w[:, 0], a, w[:, 1], a * w[:, 0], a * w[:, 1]])
+    chosen, fit = glm.forward_stepwise_aic(T, a, "gaussian")
+    assert chosen == [2]
     assert np.allclose(fit.coef, [0.0, 1.0], atol=1e-12)
     fallbacks = _count_lstsq_fallbacks(monkeypatch)
     monkeypatch.setattr(glm, "_normal_solve", lambda XwT, X, rhs: None)
-    assert glm.forward_stepwise_aic(cols, a, "gaussian")[0] == [1]
+    assert glm.forward_stepwise_aic(T, a, "gaussian")[0] == [2]
     assert fallbacks  # the fits went through lstsq
 
 

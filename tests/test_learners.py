@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from rcpolicy import (
     subgroup_scan,
 )
 from rcpolicy.dgp import ADAPTR_CELLS, ADAPTR_MASSES, OracleOutcomeModel, OraclePropensityModel
-from rcpolicy.learners import BlipModel
+from rcpolicy.learners import BlipModel, _candidates
 
 
 def _binary_ds(w, a, y, names=("w1",), **kw):
@@ -118,6 +120,44 @@ def test_outcome_deterministic(adaptr_2k):
     q2 = fit_outcome(adaptr_2k, ("mean", "glm"), folds=5, seed=9)
     assert np.array_equal(q1.weights, q2.weights)
     assert np.array_equal(q1.predict(1, adaptr_2k.w), q2.predict(1, adaptr_2k.w))
+
+
+# --- candidate table ---------------------------------------------------------
+
+_OUT1, _BLIP1 = (None, None, "x", "x"), (None, "x")
+_OUT3, _BLIP3 = (None, None, "u", "v", "w", "u", "v", "w"), (None, "u", "v", "w")
+_FULL = ("mean", "glm", "univariate", "step_aic")
+
+
+@pytest.mark.parametrize("library, tags, expected", [
+    (_FULL, _OUT1, [("mean", (0,)), ("glm", (0, 1, 2, 3)), ("uni:x", (0, 1, 2, 3)),
+                    ("step_aic", None)]),
+    (_FULL, _BLIP1, [("mean", (0,)), ("glm", (0, 1)), ("uni:x", (0, 1)), ("step_aic", None)]),
+    (_FULL, _OUT3, [("mean", (0,)), ("glm", (0, 1, 2, 3, 4, 5, 6, 7)), ("uni:u", (0, 1, 2, 5)),
+                    ("uni:v", (0, 1, 3, 6)), ("uni:w", (0, 1, 4, 7)), ("step_aic", None)]),
+    (_FULL, _BLIP3, [("mean", (0,)), ("glm", (0, 1, 2, 3)), ("uni:u", (0, 1)), ("uni:v", (0, 2)),
+                     ("uni:w", (0, 3)), ("step_aic", None)]),
+    # repeats keep their first place, also when univariate repeats an explicit uni:
+    (("uni:w", "mean", "univariate", "mean", "uni:u"), _OUT3,
+     [("uni:w", (0, 1, 4, 7)), ("mean", (0,)), ("uni:u", (0, 1, 2, 5)), ("uni:v", (0, 1, 3, 6))]),
+    (("univariate", "uni:v", "glm", "glm"), _BLIP3,
+     [("uni:u", (0, 1)), ("uni:v", (0, 2)), ("uni:w", (0, 3)), ("glm", (0, 1, 2, 3))]),
+    (("step_aic", "step_aic"), _BLIP1, [("step_aic", None)]),
+])
+def test_candidates_pick_term_columns_by_tag(library, tags, expected):
+    assert _candidates(library, tags) == expected
+
+
+@pytest.mark.parametrize("library, tags, message", [
+    (("mean", "uni:z"), _OUT3, "unknown covariate in learner spec 'uni:z'"),
+    (("uni:",), _BLIP1, "unknown covariate in learner spec 'uni:'"),
+    (("glm", "lasso"), _BLIP3, "unknown learner spec 'lasso'"),
+    (("Mean",), _OUT1, "unknown learner spec 'Mean'"),
+    ((), _OUT1, "empty learner library"),
+])
+def test_candidates_reject_bad_libraries(library, tags, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _candidates(library, tags)
 
 
 def _constant_in_one_split(kind):
@@ -230,13 +270,13 @@ def test_warm_starts_change_no_warning_or_stepwise_pick(draw, adaptr_2k, monkeyp
 
 def test_outcome_equal_to_treatment_is_fit_by_treatment_alone(monkeypatch):
     # the icer cost side: a cost that is exactly A. Every stepwise call
-    # stops at A (pool index 0), with and without logistic starts
+    # stops at A (term column 1), with and without logistic starts
     ds = generate(adaptr_like(seed=12), 600)
     ds_a = Dataset(w=ds.w, a=ds.a, y=ds.a.astype(float), covariate_names=ds.covariate_names,
                    outcome_kind="bounded_real", y_bounds=(0.0, 1.0))
     for cold in (False, True):
         picks, q, _ = _stack_run(monkeypatch, ds_a, ("mean", "step_aic"), cold)
-        assert picks[:4] == [(0,)] * 4  # three splits and the full fit, outcome stack
+        assert picks[:4] == [(1,)] * 4  # three splits and the full fit, outcome stack
         assert q.candidates[1].terms == (0, 1)
 
 
