@@ -38,7 +38,7 @@ from .dgp import (
 from .icer import icer_curve, ratio
 from .learners import subgroup_scan
 from .msm import msm_with_bootstrap
-from .rule import blip_atoms
+from .rule import assign_from_blips, blip_atoms
 from .tmle import contrast_estimates, evaluate_grid, fit_full_rules
 
 __all__ = ["main", "build_parser", "CliError"]
@@ -429,7 +429,7 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
 
     if args.assignments:
         header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]
-        assign_cols = [pol.assign_from_blips(blips) for pol in policies]
+        assign_cols = [assign_from_blips(blips, pol.threshold) for pol in policies]
         blip_units = s * blips
         rows = (
             [i, blip_units[i]] + [col[i] for col in assign_cols]
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max distinct values for per-level summaries (default 10)")
     p.add_argument("--out", help="results JSON path (default stdout)")
     _add_data_flags(p)
-    _add_pipeline_flags(p, model=False)
+    p.add_argument("--config", help="JSON config file overlaying the defaults")
     p.set_defaults(func=_cmd_subgroups)
 
     p = sub.add_parser("plot-data", help="project saved results into plot-ready CSV")

@@ -32,7 +32,7 @@ class ColumnSchema:
 
     outcome_kind: "binary", "bounded_real", or None to auto-detect
     (all outcome values in {0, 1} means binary). y_bounds overrides the
-    observed range for bounded_real outcomes.
+    observed range for bounded_real outcomes; a binary outcome takes none.
     """
 
     treatment: str
@@ -133,11 +133,12 @@ class Dataset:
 def ingest_csv(path, schema: ColumnSchema) -> Dataset:
     """Read and validate a CSV into a Dataset.
 
-    Rejects missing or non-numeric cells (naming the column), non-binary
-    treatment codes, single-arm data, and out-of-bounds outcomes. Each
-    named column has one role: a column used as two of treatment,
-    outcome, cost and covariate, a covariate listed twice, and a header
-    that repeats a name the schema uses are errors naming the column.
+    Rejects an empty covariate list, missing or non-numeric cells (naming
+    the column), non-binary treatment codes, single-arm data, y_bounds on
+    a binary outcome, and out-of-bounds outcomes. Each named column has
+    one role: a column used as two of treatment, outcome, cost and
+    covariate, a covariate listed twice, and a header that repeats a name
+    the schema uses are errors naming the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -148,6 +149,8 @@ def ingest_csv(path, schema: ColumnSchema) -> Dataset:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    if not schema.covariates:
+        raise ValueError(f"{path}: no covariates given; name at least one covariate column")
 
     col_idx = {name: j for j, name in enumerate(header)}
     roles = {}
@@ -197,6 +200,11 @@ def ingest_csv(path, schema: ColumnSchema) -> Dataset:
     if kind is None:
         kind = "binary" if np.all((y == 0.0) | (y == 1.0)) else "bounded_real"
     if kind == "binary":
+        if schema.y_bounds is not None:
+            raise ValueError(
+                f"{path}: y_bounds are for bounded_real outcomes, and outcome column "
+                f"{schema.outcome!r} is binary; pass --outcome-kind bounded_real to scale it"
+            )
         bounds = (0.0, 1.0)
     elif schema.y_bounds is not None:
         bounds = schema.y_bounds

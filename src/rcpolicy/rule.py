@@ -276,10 +276,7 @@ class RulePolicy:
 
     def assign(self, w: np.ndarray) -> np.ndarray:
         b = np.asarray(self.blip_predict(np.atleast_2d(w)), dtype=float)
-        return self.assign_from_blips(b)
-
-    def assign_from_blips(self, blips: np.ndarray) -> np.ndarray:
-        return assign_from_blips(np.asarray(blips, dtype=float), self.threshold)
+        return assign_from_blips(b, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -316,14 +313,12 @@ def build_policy(model, ds, kappa: float) -> RulePolicy:
     in-sample predictions; out-of-sample rows are assigned by comparing
     their predicted blip against the stored threshold.
     """
-    if ds.n < 1:
-        raise ValueError("empty dataset")
     blips = np.asarray(model.predict(ds.w), dtype=float)
-    sol = solve_threshold(blips, kappa)
-    pct_treated, pct_stochastic = treated_fractions(assign_from_blips(blips, sol))
-    return RulePolicy(
-        threshold=sol,
-        blip_predict=model.predict,
-        pct_treated=pct_treated,
-        pct_stochastic=pct_stochastic,
-    )
+    return _policy_on(model.predict, blips, atom_table(blips), kappa)
+
+
+def _policy_on(blip_predict, blips: np.ndarray, table: AtomTable, kappa: float) -> RulePolicy:
+    """The rule at kappa on `table`, the atom table of the in-sample blips;
+    one table serves every budget."""
+    sol = solve_threshold(table, kappa)
+    return RulePolicy(sol, blip_predict, *treated_fractions(assign_from_blips(blips, sol)))

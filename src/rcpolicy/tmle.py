@@ -47,7 +47,7 @@ from .learners import (
     fit_propensity,
     stratified_folds,
 )
-from .rule import (AtomTable, StaticPolicy, assign_from_blips, atom_table, build_policy,
+from .rule import (AtomTable, StaticPolicy, _policy_on, assign_from_blips, atom_table,
                    solve_threshold, treated_fractions)
 
 __all__ = [
@@ -473,16 +473,19 @@ def fit_full_rules(ds: Dataset, kappas, config: PipelineConfig | None = None):
     """The full-data rule at each budget, with no cross-fitting.
 
     One blip fit on all of ds (outcome scaled to [0, 1]) and its
-    constrained rule per kappa. Returns (blip, policies, warnings):
-    policies follow kappas, thresholds are on the [0, 1] scale, and
-    warnings are the fits' own, deduplicated.
+    constrained rule per kappa, every budget solved on one atom table of
+    the in-sample blips. Returns (blip, policies, warnings): policies
+    follow kappas, thresholds are on the [0, 1] scale, and warnings are
+    the fits' own, deduplicated.
     """
     cfg = config or PipelineConfig()
     ds_s = scale_outcome(ds)
     _, _, blip, warnings = fit_nuisance(
         ds_s, cfg, derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
     )
-    policies = [build_policy(blip, ds_s, k) for k in kappas]
+    blips = np.asarray(blip.predict(ds_s.w), dtype=float)
+    table = atom_table(blips)
+    policies = [_policy_on(blip.predict, blips, table, k) for k in kappas]
     return blip, policies, tuple(dict.fromkeys(warnings))
 
 

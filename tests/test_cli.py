@@ -428,6 +428,29 @@ def test_a_column_in_two_roles_exits_1_writing_nothing(workdir, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_an_empty_covariate_list_exits_1_naming_the_covariates(workdir, tmp_path, capsys, route):
+    out = tmp_path / "rule.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"columns": {"covariates": []}}))
+    extra = ["--covariate-cols", ""] if route == "flag" else ["--config", str(cfg)]
+    assert main(["fit-rule", "--data", workdir["csv"], "--kappa", "0.5", "--out", str(out),
+                 *LEAN_FLAGS, *extra]) == 1
+    assert "no covariates given" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [[], ["--outcome-kind", "binary"]], ids=["auto", "binary"])
+def test_y_bounds_on_a_binary_outcome_exits_1(workdir, tmp_path, capsys, kind):
+    # the bounds would be dropped: a binary outcome is already on [0, 1]
+    out = tmp_path / "rule.json"
+    assert main(["fit-rule", "--data", workdir["csv"], "--kappa", "0.5", "--y-bounds", "2:6",
+                 "--out", str(out), *kind, *LEAN_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert "y_bounds" in err and "--outcome-kind bounded_real" in err
+    assert not out.exists()
+
+
 def test_icer_needs_cost_column(tmp_path, capsys):
     csv = str(tmp_path / "nocost.csv")
     assert main(["simulate", "--dgp", "constant_blip", "--n", "60", "--seed", "2",
@@ -438,7 +461,7 @@ def test_icer_needs_cost_column(tmp_path, capsys):
 
 
 def test_subgroups_payload(workdir, capsys):
-    assert main(["subgroups", "--data", workdir["csv"], "--seed", "5"]) == 0
+    assert main(["subgroups", "--data", workdir["csv"]]) == 0
     doc = json.loads(capsys.readouterr().out)
     names = [r["covariate"] for r in doc["results"]]
     assert names == ["wage_work", "self_employed", "walk_5km"]
@@ -458,6 +481,21 @@ def test_subgroups_rejects_alpha_outside_unit_interval(workdir, capsys, alpha):
 def test_subgroups_rejects_non_positive_max_levels(workdir, capsys, max_levels):
     assert main(["subgroups", "--data", workdir["csv"], "--max-levels", max_levels]) == 1
     assert "max_levels must be >= 1" in capsys.readouterr().err
+
+
+def test_subgroups_reads_no_seed_but_audits_one(workdir, tmp_path, capsys, monkeypatch):
+    def run(extra):
+        assert main(["subgroups", "--data", workdir["csv"], *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return doc["audit"]["seed"], doc["results"]
+
+    seed, bare = run([])
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"seed": 5}')
+    assert run(["--config", str(cfg)]) == (5, bare)
+    monkeypatch.setenv("RC_POLICY_SEED", "6")
+    assert run([]) == (6, bare)
+    assert seed == 0
 
 
 def test_subgroups_json_null_means_unset(workdir, tmp_path, capsys):
@@ -822,7 +860,7 @@ _CONFIG_FLAG_DESTS = {
     "evaluate": {"seed", "ci_level", *_MODEL_DESTS},
     "msm": {"seed", "ci_level", "bootstrap_replicates", "bootstrap_mode", *_MODEL_DESTS},
     "icer": {"seed", "ci_level", "effect_units", "epsilon_den", *_MODEL_DESTS},
-    "subgroups": {"seed"},
+    "subgroups": set(),
     "plot-data": set(),
 }
 
@@ -842,7 +880,7 @@ _UNREAD_FLAGS = [["--folds", "3"], ["--g-known", "0.3"], ["--g-estimate"], ["--g
 
 @pytest.mark.parametrize("command, flag", [
     *(("simulate", f) for f in _UNREAD_FLAGS),
-    *(("subgroups", f) for f in _UNREAD_FLAGS),
+    *(("subgroups", f) for f in [*_UNREAD_FLAGS, ["--seed", "5"]]),
     ("fit-rule", ["--ci-level", "0.5"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_a_flag_the_command_does_not_read_exits_1(workdir, tmp_path, capsys, command, flag):
@@ -875,7 +913,7 @@ def test_a_shared_config_with_model_keys_still_loads(workdir, tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         return doc.pop("audit")["config"], doc
 
-    sub_argv = ["subgroups", "--data", workdir["csv"], "--seed", "5"]
+    sub_argv = ["subgroups", "--data", workdir["csv"]]
     _, bare = run(sub_argv)
     audit, with_cfg = run([*sub_argv, "--config", str(cfg)])
     assert with_cfg == bare

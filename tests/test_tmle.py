@@ -22,7 +22,8 @@ from rcpolicy import (
     tmle_value,
 )
 from rcpolicy.glm import logit
-from rcpolicy.tmle import CvNuisance, assignment_for, value_from_assignment
+from rcpolicy.data import scale_outcome
+from rcpolicy.tmle import CvNuisance, assignment_for, fit_full_rules, value_from_assignment
 
 
 # --- seed derivation ---------------------------------------------------------
@@ -296,7 +297,7 @@ def _count_table_work(monkeypatch):
 
     for mod in (rule, tmle):
         monkeypatch.setattr(mod, "atom_table", counted_build)
-    monkeypatch.setattr(tmle, "solve_threshold", counted_solve)
+        monkeypatch.setattr(mod, "solve_threshold", counted_solve)
     return calls
 
 
@@ -314,6 +315,27 @@ def test_each_fold_table_is_built_once_per_grid_and_curve(monkeypatch, lean_conf
     icer_curve(ds, kappas, "treat_none", lean_config)
     # the cost side fits no blips, so only the outcome side's folds build
     assert calls == {"builds": folds, "solves": folds * len(kappas), "on_table": folds * len(kappas)}
+
+
+def test_full_rules_predict_once_and_solve_every_budget_on_one_table(monkeypatch, lean_config):
+    from rcpolicy.learners import BlipModel
+
+    ds = generate(continuous_blip(seed=3), 600)
+    kappas = (0.0, 0.1, 0.3, 0.5, 0.8, 1.0)
+    calls = _count_table_work(monkeypatch)
+    predicts = []
+    predict = BlipModel.predict
+    monkeypatch.setattr(BlipModel, "predict", lambda self, w: predicts.append(len(w)) or
+                        predict(self, w))
+    blip, policies, _ = fit_full_rules(ds, kappas, lean_config)
+    assert predicts == [ds.n]
+    assert calls == {"builds": 1, "solves": len(kappas), "on_table": len(kappas)}
+    ds_s = scale_outcome(ds)
+    for kappa, pol in zip(kappas, policies):
+        ref = build_policy(blip, ds_s, kappa)
+        assert pol.threshold == ref.threshold
+        assert (pol.pct_treated, pol.pct_stochastic) == (ref.pct_treated, ref.pct_stochastic)
+    assert any(0 < pol.tau for pol in policies)
 
 
 def test_one_fold_nuisance_carries_the_logits(adaptr_2k):
