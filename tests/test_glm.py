@@ -115,8 +115,10 @@ def test_stepwise_fit_is_the_fit_on_the_stacked_picked_columns(family):
     w = rng.normal(size=(n, 3))
     T = np.column_stack([np.ones(n), a, w, a[:, None] * w])
     eta = -0.3 + 0.8 * a + 0.6 * w[:, 0] - 0.5 * a * w[:, 2]
-    y = rng.binomial(1, expit(eta)).astype(float) if family == "binomial" else eta
-    y = y + (rng.normal(scale=0.3, size=n) if family == "gaussian" else 0.0)
+    if family == "binomial":
+        y = rng.binomial(1, expit(eta)).astype(float)
+    else:
+        y = eta + rng.normal(scale=0.3, size=n)
     chosen, fit = glm.forward_stepwise_aic(T, y, family)
     assert len(chosen) >= 2 and 0 not in chosen
     # each accepted model starts from the one before it, 0 for the new term

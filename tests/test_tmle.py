@@ -325,8 +325,12 @@ def test_full_rules_predict_once_and_solve_every_budget_on_one_table(monkeypatch
     calls = _count_table_work(monkeypatch)
     predicts = []
     predict = BlipModel.predict
-    monkeypatch.setattr(BlipModel, "predict", lambda self, w: predicts.append(len(w)) or
-                        predict(self, w))
+
+    def counted_predict(self, w):
+        predicts.append(len(w))
+        return predict(self, w)
+
+    monkeypatch.setattr(BlipModel, "predict", counted_predict)
     blip, policies, _ = fit_full_rules(ds, kappas, lean_config)
     assert predicts == [ds.n]
     assert calls == {"builds": 1, "solves": len(kappas), "on_table": len(kappas)}
