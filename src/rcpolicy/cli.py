@@ -8,6 +8,15 @@ byte-reproducible: identical inputs, config, and seed produce identical
 files. A command's own keys (`kappa_grid`, `alpha`, `columns`, ...)
 follow the same precedence, and a JSON null leaves a key unset. Exit
 codes: 0 success, 1 validation error, 2 numerical failure.
+
+Every `_cmd_*` handler maps (args, config) to (context, outputs) and
+writes nothing itself, except `simulate`'s dataset CSV. An output is a
+JSON `(path, payload)` or a CSV `(path, header, rows)`; `main` writes
+them all in one loop, with the audit block built from the context as
+the last key of every JSON and in every CSV's `.meta.json`. The first
+output goes to stdout when its path is unset; a later one without a
+path is skipped. `plot-data` has no context: its sidecar carries the
+audit of the artifact it projects.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_hash, require_int
-from .data import ColumnSchema, Dataset, ingest_csv, scale_outcome, write_csv
+from .data import ColumnSchema, Dataset, ingest_csv, scale_outcome, write_csv, write_rows
 from .dgp import (
     DGP_KINDS,
     adaptr_like,
@@ -89,35 +98,26 @@ def _sanitize(obj):
     return obj
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def _write_json(payload: dict, path: str | None) -> None:
     text = json.dumps(_sanitize(payload), indent=2, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        fh.write(text)
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (np.floating, float)):
-        f = float(v)
-        return repr(f) if math.isfinite(f) else ""
-    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return str(int(v))
-    return str(v)
-
-
-def _emit_csv(header: list[str], rows, out: str | None, meta: dict | None = None) -> None:
-    """Write CSV to a path (with a .meta.json sidecar) or to stdout."""
-    with nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
-    if out is not None and meta is not None:
-        _emit_json(meta, out + ".meta.json")
+def _write_outputs(outputs, audit: dict | None) -> None:
+    """Write a command's outputs by the rule in the module docstring. A CSV
+    output may end in its own sidecar `meta`; the default is the audit."""
+    for i, (path, *body) in enumerate(outputs):
+        if i and not path:
+            continue
+        if len(body) == 1:
+            _write_json({**body[0], "audit": audit}, path)
+            continue
+        header, rows, *meta = body
+        with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+            write_rows(fh, header, rows)
+        if path is not None:
+            _write_json(meta[0] if meta else {"audit": audit}, path + ".meta.json")
 
 
 def parse_kappa_grid(text: str) -> list[float]:
@@ -335,7 +335,26 @@ def _grid_setup(args, need_cost: bool = False):
 # subcommands
 
 
-def _cmd_simulate(args, cfg: PipelineConfig) -> None:
+_PLOT_SPECS = {
+    # what -> (source flag, key in the source JSON, columns to project)
+    "value-curve": ("results", "grid", ["kappa", "psi", "ci_lo", "ci_hi", "tau", "pct_treated"]),
+    "msm": ("results", "plot_rows", ["kappa", "value", "fitted", "chord"]),
+    "blip-hist": ("model", "blip_atoms", ["blip_value", "count"]),
+    "ce-plane": ("results", "plane", None),  # columns depend on the effect units
+}
+
+
+def _project(what: str, records: list[dict]) -> tuple[list[str], list[list]]:
+    """The columns and rows of plot view `what` over a section's records."""
+    columns = _PLOT_SPECS[what][2]
+    if columns is None:  # ce-plane: the denominator's name carries its units
+        first = records[0] if records else {}
+        columns = ["denominator_pp" if "denominator_pp" in first else "denominator",
+                   "numerator", "kappa"]
+    return columns, [[rec.get(col) for col in columns] for rec in records]
+
+
+def _cmd_simulate(args, cfg: PipelineConfig):
     kind = args.dgp
     if kind not in _DGP_FACTORIES:
         raise CliError(f"--dgp must be one of {', '.join(DGP_KINDS)}")
@@ -349,12 +368,10 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> None:
     if args.cost_noise_sd is not None:
         spec = replace(spec, cost_noise_sd=float(args.cost_noise_sd))
     ds = generate(spec, n)
-    write_csv(ds, out)
+    header = write_csv(ds, out)
     context = {"command": "simulate", "dgp": kind, "n": n, "out": out, "with_cost": with_cost,
                "unit_cost": spec.unit_cost, "cost_noise_sd": spec.cost_noise_sd}
-    audit = _audit(cfg, context)
-    header = list(ds.covariate_names) + ["a", "y"] + (["c"] if ds.c is not None else [])
-    _emit_json({"columns": header, "rows": n, "audit": audit}, out + ".meta.json")
+    outputs = [(out + ".meta.json", {"columns": header, "rows": n})]
     if args.oracle:
         rep = oracle(spec, grid)
         rows = []
@@ -375,20 +392,15 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> None:
                 "effect_vs_all_pp": 100.0 * eff_all,
                 "icer_vs_all": ratio(float(rep.cost_vs_all[i]), 100.0 * eff_all),
             })
-        payload = {
-            "dgp": kind,
-            "ate": rep.ate,
-            "ey0": rep.ey0,
-            "ey1": rep.ey1,
-            "grid": rows,
-            "audit": audit,
-        }
-        _emit_json(payload, args.oracle)
+        outputs.append((args.oracle, {"dgp": kind, "ate": rep.ate, "ey0": rep.ey0,
+                                      "ey1": rep.ey1, "grid": rows}))
+    return context, outputs
 
 
-def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
+def _cmd_fit_rule(args, cfg: PipelineConfig):
     kappas, single = _parse_kappa_arg(str(_required(args.kappa, "kappa")))
     ds, context = _load_dataset(args)
+    context["kappa"] = kappas
     ds_s = scale_outcome(ds)
     lo, hi = ds_s.y_scale
     s = hi - lo  # blips and thresholds are fit on [0, 1]; report outcome units
@@ -408,34 +420,21 @@ def _cmd_fit_rule(args, cfg: PipelineConfig) -> None:
             "pct_treated": pol.pct_treated,
             "pct_stochastic": pol.pct_stochastic,
         })
-
-    context["kappa"] = kappas
-    audit = _audit(cfg, context)
-    if single:
-        payload = {**blocks[0], "warnings": list(warnings), "audit": audit}
-    else:
-        payload = {"rules": blocks, "warnings": list(warnings), "audit": audit}
-    _emit_json(payload, args.out)
-
-    if args.save_model:
-        _emit_json({
-            "covariate_names": list(ds.covariate_names),
-            "y_scale": [lo, hi],
-            "blip": blip.to_dict(),
-            "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(blips)],
-            "rules": blocks,
-            "audit": audit,
-        }, args.save_model)
-
-    if args.assignments:
-        header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]
-        assign_cols = [assign_from_blips(blips, pol.threshold) for pol in policies]
-        blip_units = s * blips
-        rows = (
-            [i, blip_units[i]] + [col[i] for col in assign_cols]
-            for i in range(ds.n)
-        )
-        _emit_csv(header, rows, args.assignments, meta={"audit": audit})
+    rules = blocks[0] if single else {"rules": blocks}
+    model = {
+        "covariate_names": list(ds.covariate_names),
+        "y_scale": [lo, hi],
+        "blip": blip.to_dict(),
+        "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(blips)],
+        "rules": blocks,
+    }
+    header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]
+    assign_cols = [assign_from_blips(blips, pol.threshold) for pol in policies]
+    blip_units = s * blips
+    rows = ([i, blip_units[i]] + [col[i] for col in assign_cols] for i in range(ds.n))
+    return context, [(args.out, {**rules, "warnings": list(warnings)}),
+                     (args.save_model, model),
+                     (args.assignments, header, rows)]
 
 
 def _contrast_block(est, static, z) -> dict:
@@ -454,7 +453,7 @@ def _static_block(est) -> dict:
     }
 
 
-def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
+def _cmd_evaluate(args, cfg: PipelineConfig):
     kappas, ds, context = _grid_setup(args)
     result = evaluate_grid(ds, kappas, cfg)
     z = cfg.z_value
@@ -481,12 +480,11 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
         "treat_none": _static_block(result.treat_none),
         "n": ds.n,
         "warnings": list(result.nuisance.warnings),
-        "audit": _audit(cfg, context),
     }
-    _emit_json(payload, args.out)
+    return context, [(args.out, payload)]
 
 
-def _cmd_msm(args, cfg: PipelineConfig) -> None:
+def _cmd_msm(args, cfg: PipelineConfig):
     kappas, ds, context = _grid_setup(args)
     fit = msm_with_bootstrap(ds, kappas, cfg)
     ci = fit.boot_ci or {}
@@ -507,20 +505,16 @@ def _cmd_msm(args, cfg: PipelineConfig) -> None:
         "values": list(fit.values),
         "plot_rows": plot_rows,
         "warnings": list(fit.warnings),
-        "audit": _audit(cfg, context),
     }
-    _emit_json(payload, args.out)
-    if args.plot_out:
-        rows = ([r["kappa"], r["value"], r["fitted"], r["chord"]] for r in plot_rows)
-        _emit_csv(["kappa", "value", "fitted", "chord"], rows, args.plot_out,
-                  meta={"audit": payload["audit"]})
+    return context, [(args.out, payload), (args.plot_out, *_project("msm", plot_rows))]
 
 
-def _cmd_icer(args, cfg: PipelineConfig) -> None:
+def _cmd_icer(args, cfg: PipelineConfig):
     kappas, ds, context = _grid_setup(args, need_cost=True)
     comparator = str(args.comparator).replace("-", "_")
     if comparator not in ("treat_none", "treat_all"):
         raise CliError("--comparator must be treat-none or treat-all")
+    context["comparator"] = comparator
     curve = icer_curve(ds, kappas, comparator=comparator, config=cfg)
     den_key = "denominator_pp" if curve.estimates[0].effect_units == "pp" else "denominator"
     rows = []
@@ -539,26 +533,21 @@ def _cmd_icer(args, cfg: PipelineConfig) -> None:
         {den_key: float(d), "numerator": float(nu), "kappa": float(k)}
         for d, nu, k in curve.plane_points()
     ]
-    context["comparator"] = comparator
     payload = {
         "comparator": comparator,
         "rows": rows,
         "plane": plane,
         "n": ds.n,
         "warnings": list(curve.warnings),
-        "audit": _audit(cfg, context),
     }
-    _emit_json(payload, args.out)
-    if args.plane_out:
-        csv_rows = ([p[den_key], p["numerator"], p["kappa"]] for p in plane)
-        _emit_csv([den_key, "numerator", "kappa"], csv_rows, args.plane_out,
-                  meta={"audit": payload["audit"]})
+    return context, [(args.out, payload), (args.plane_out, *_project("ce-plane", plane))]
 
 
-def _cmd_subgroups(args, cfg: PipelineConfig) -> None:
+def _cmd_subgroups(args, cfg: PipelineConfig):
     alpha = float(args.alpha)
     max_levels = require_int("max_levels", args.max_levels)
     ds, context = _load_dataset(args)
+    context["alpha"] = alpha
     results = subgroup_scan(ds, alpha=alpha, max_levels=max_levels)
     blocks = []
     for r in results:
@@ -569,25 +558,15 @@ def _cmd_subgroups(args, cfg: PipelineConfig) -> None:
             "note": r.note,
             "levels": [asdict(lv) for lv in r.levels],
         })
-    context["alpha"] = alpha
-    payload = {"alpha": alpha, "results": blocks, "audit": _audit(cfg, context)}
-    _emit_json(payload, args.out)
+    return context, [(args.out, {"alpha": alpha, "results": blocks})]
 
 
-_PLOT_SPECS = {
-    # what -> (source flag, key in the source JSON, columns to project)
-    "value-curve": ("results", "grid", ["kappa", "psi", "ci_lo", "ci_hi", "tau", "pct_treated"]),
-    "msm": ("results", "plot_rows", ["kappa", "value", "fitted", "chord"]),
-    "blip-hist": ("model", "blip_atoms", ["blip_value", "count"]),
-    "ce-plane": ("results", "plane", None),  # columns depend on the effect units
-}
-
-
-def _cmd_plot_data(args, cfg: PipelineConfig) -> None:
+def _cmd_plot_data(args, cfg: PipelineConfig):
+    """No audit of its own: the CSV's sidecar carries its source's."""
     what = args.what
     if what not in _PLOT_SPECS:
         raise CliError(f"--what must be one of {', '.join(sorted(_PLOT_SPECS))}")
-    flag, key, columns = _PLOT_SPECS[what]
+    flag, key, _ = _PLOT_SPECS[what]
     source = getattr(args, flag)
     if not source:
         raise CliError(f"plot-data --what {what} needs --{flag} <file.json>")
@@ -605,13 +584,8 @@ def _cmd_plot_data(args, cfg: PipelineConfig) -> None:
     records = doc[key]
     if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
         raise CliError(f"--{flag} {source}: section {key!r} must be a list of JSON objects")
-    if columns is None:  # ce-plane: pick up denominator naming from the artifact
-        first = records[0] if records else {}
-        den_key = "denominator_pp" if "denominator_pp" in first else "denominator"
-        columns = [den_key, "numerator", "kappa"]
-    rows = ([rec.get(col) for col in columns] for rec in records)
     meta = {"source": os.path.basename(source), "what": what, "audit": doc.get("audit")}
-    _emit_csv(columns, rows, args.out, meta=meta)
+    return None, [(args.out, *_project(what, records), meta)]
 
 
 # ---------------------------------------------------------------------------
@@ -628,36 +602,37 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, model: bool = True,
     grp.add_argument("--seed", type=int, help="master seed (default 0; env RC_POLICY_SEED)")
     if model:
         grp.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-        grp.add_argument("--g-known", type=float, dest="g_known",
+        grp.add_argument("--g-known", type=float,
                          help="known treatment probability, e.g. 0.5 in a balanced trial")
-        grp.add_argument("--g-estimate", action=argparse.BooleanOptionalAction,
-                         dest="g_estimate", default=None,
+        grp.add_argument("--g-estimate", action=argparse.BooleanOptionalAction, default=None,
                          help="force propensity estimation on or off")
-        grp.add_argument("--g-min", type=float, dest="g_min", help="propensity truncation bound")
-        grp.add_argument("--outcome-library", dest="outcome_library",
+        grp.add_argument("--g-min", type=float, help="propensity truncation bound")
+        grp.add_argument("--outcome-library",
                          help="comma-separated outcome learners (mean,glm,univariate,step_aic)")
-        grp.add_argument("--blip-library", dest="blip_library",
-                         help="comma-separated blip learners")
+        grp.add_argument("--blip-library", help="comma-separated blip learners")
     if ci_level:
-        grp.add_argument("--ci-level", type=float, dest="ci_level",
-                         help="confidence level (default 0.95)")
+        grp.add_argument("--ci-level", type=float, help="confidence level (default 0.95)")
     return grp
 
 
-def _add_data_flags(p: argparse.ArgumentParser):
-    grp = p.add_argument_group("data")
-    grp.add_argument("--data", help="input CSV with header row")
-    grp.add_argument("--treatment-col", dest="treatment_col", help="treatment column (default a)")
-    grp.add_argument("--outcome-col", dest="outcome_col", help="outcome column (default y)")
-    grp.add_argument("--cost-col", dest="cost_col",
-                     help="cost column (default: a column named c, when present)")
-    grp.add_argument("--covariate-cols", dest="covariate_cols",
-                     help="comma-separated covariates (default: all other columns)")
-    grp.add_argument("--outcome-kind", dest="outcome_kind",
-                     choices=["auto", "binary", "bounded_real"],
-                     help="outcome type (default auto-detect)")
-    grp.add_argument("--y-bounds", dest="y_bounds",
-                     help="lo:hi bounds for bounded_real outcomes")
+def _add_command(sub, name: str, func, help: str, out_help: str, data: bool = True):
+    """A subcommand's parser: --out, the data flags when it reads --data,
+    and `func` as its handler."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out", help=out_help)
+    if data:
+        grp = p.add_argument_group("data")
+        grp.add_argument("--data", help="input CSV with header row")
+        grp.add_argument("--treatment-col", help="treatment column (default a)")
+        grp.add_argument("--outcome-col", help="outcome column (default y)")
+        grp.add_argument("--cost-col", help="cost column (default: a column named c, when present)")
+        grp.add_argument("--covariate-cols",
+                         help="comma-separated covariates (default: all other columns)")
+        grp.add_argument("--outcome-kind", choices=["auto", "binary", "bounded_real"],
+                         help="outcome type (default auto-detect)")
+        grp.add_argument("--y-bounds", help="lo:hi bounds for bounded_real outcomes")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,78 +644,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("simulate", help="draw a synthetic dataset (optionally with its oracle)")
+    p = _add_command(sub, "simulate", _cmd_simulate,
+                     "draw a synthetic dataset (optionally with its oracle)", "output CSV path",
+                     data=False)
     p.add_argument("--dgp", choices=list(DGP_KINDS), help="generating process")
     p.add_argument("--n", type=int, help="sample size")
-    p.add_argument("--out", help="output CSV path")
     p.add_argument("--oracle", help="also write the closed-form truth to this JSON path")
-    p.add_argument("--kappa-grid", dest="kappa_grid", help="oracle grid (default 0:1:0.1)")
-    p.add_argument("--unit-cost", type=float, dest="unit_cost", help="cost per treated unit")
-    p.add_argument("--cost-noise-sd", type=float, dest="cost_noise_sd",
-                   help="sd of additive cost noise")
-    p.add_argument("--no-cost", action="store_true", dest="no_cost", default=None,
-                   help="omit the cost column")
+    p.add_argument("--kappa-grid", help="oracle grid (default 0:1:0.1)")
+    p.add_argument("--unit-cost", type=float, help="cost per treated unit")
+    p.add_argument("--cost-noise-sd", type=float, help="sd of additive cost noise")
+    p.add_argument("--no-cost", action="store_true", default=None, help="omit the cost column")
     _add_pipeline_flags(p, model=False)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit-rule", help="fit the constrained rule at one or more budgets")
+    p = _add_command(sub, "fit-rule", _cmd_fit_rule,
+                     "fit the constrained rule at one or more budgets",
+                     "rule JSON path (default stdout)")
     p.add_argument("--kappa", help="budget: a number or start:end:step")
-    p.add_argument("--out", help="rule JSON path (default stdout)")
-    p.add_argument("--save-model", dest="save_model", help="write the fitted blip model JSON here")
+    p.add_argument("--save-model", help="write the fitted blip model JSON here")
     p.add_argument("--assignments", help="write per-row treatment probabilities CSV here")
-    _add_data_flags(p)
     _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_fit_rule)
 
-    p = sub.add_parser("evaluate", help="cross-validated value estimates over a budget grid")
-    p.add_argument("--kappa-grid", "--kappa", dest="kappa_grid", help="start:end:step budget grid")
-    p.add_argument("--out", help="results JSON path (default stdout)")
-    _add_data_flags(p)
+    p = _add_command(sub, "evaluate", _cmd_evaluate,
+                     "cross-validated value estimates over a budget grid",
+                     "results JSON path (default stdout)")
+    p.add_argument("--kappa-grid", "--kappa", help="start:end:step budget grid")
     _add_pipeline_flags(p, ci_level=True)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("msm", help="summarize the budget-response curve with a working line")
-    p.add_argument("--kappa-grid", dest="kappa_grid", help="start:end:step budget grid")
-    p.add_argument("--out", help="results JSON path (default stdout)")
-    p.add_argument("--plot-out", dest="plot_out", help="plot-data CSV (kappa,value,fitted,chord)")
-    _add_data_flags(p)
+    p = _add_command(sub, "msm", _cmd_msm,
+                     "summarize the budget-response curve with a working line",
+                     "results JSON path (default stdout)")
+    p.add_argument("--kappa-grid", help="start:end:step budget grid")
+    p.add_argument("--plot-out", help="plot-data CSV (kappa,value,fitted,chord)")
     grp = _add_pipeline_flags(p, ci_level=True)
     grp.add_argument("--bootstrap", type=int, dest="bootstrap_replicates", metavar="BOOTSTRAP",
                      help="bootstrap replicates (default 1000)")
     grp.add_argument("--mode", choices=["refit"], dest="bootstrap_mode",
                      help="bootstrap mode: refit re-runs the pipeline on every resample")
-    p.set_defaults(func=_cmd_msm)
 
-    p = sub.add_parser("icer", help="incremental cost-effectiveness along the budget grid")
-    p.add_argument("--kappa-grid", dest="kappa_grid", help="start:end:step budget grid")
+    p = _add_command(sub, "icer", _cmd_icer,
+                     "incremental cost-effectiveness along the budget grid",
+                     "results JSON path (default stdout)")
+    p.add_argument("--kappa-grid", help="start:end:step budget grid")
     p.add_argument("--comparator", choices=["treat-none", "treat-all"],
                    help="static comparator (default treat-none)")
-    p.add_argument("--out", help="results JSON path (default stdout)")
-    p.add_argument("--plane-out", dest="plane_out", help="cost-effectiveness plane CSV")
-    _add_data_flags(p)
+    p.add_argument("--plane-out", help="cost-effectiveness plane CSV")
     grp = _add_pipeline_flags(p, ci_level=True)
-    grp.add_argument("--effect-units", choices=["pp", "probability"], dest="effect_units",
+    grp.add_argument("--effect-units", choices=["pp", "probability"],
                      help="denominator units for binary outcomes (default pp)")
-    grp.add_argument("--epsilon-den", type=float, dest="epsilon_den",
+    grp.add_argument("--epsilon-den", type=float,
                      help="denominator instability guard (default 1e-4)")
-    p.set_defaults(func=_cmd_icer)
 
-    p = sub.add_parser("subgroups", help="scan covariates for treatment-effect heterogeneity")
+    p = _add_command(sub, "subgroups", _cmd_subgroups,
+                     "scan covariates for treatment-effect heterogeneity",
+                     "results JSON path (default stdout)")
     p.add_argument("--alpha", type=float, help="flagging level (default 0.1)")
-    p.add_argument("--max-levels", type=int, dest="max_levels",
+    p.add_argument("--max-levels", type=int,
                    help="max distinct values for per-level summaries (default 10)")
-    p.add_argument("--out", help="results JSON path (default stdout)")
-    _add_data_flags(p)
     p.add_argument("--config", help="JSON config file overlaying the defaults")
-    p.set_defaults(func=_cmd_subgroups)
 
-    p = sub.add_parser("plot-data", help="project saved results into plot-ready CSV")
+    p = _add_command(sub, "plot-data", _cmd_plot_data,
+                     "project saved results into plot-ready CSV", "output CSV path (default stdout)",
+                     data=False)
     p.add_argument("--what", choices=sorted(_PLOT_SPECS), help="which figure data to emit")
     p.add_argument("--results", help="results JSON from evaluate/msm/icer")
     p.add_argument("--model", help="model JSON from fit-rule --save-model")
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("--config", help="JSON config file (rarely needed here)")
-    p.set_defaults(func=_cmd_plot_data)
 
     return parser
 
@@ -755,7 +723,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version print and stop
         return int(exc.code or 0)
     try:
-        args.func(args, _resolve_config(args))
+        cfg = _resolve_config(args)
+        context, outputs = args.func(args, cfg)
+        _write_outputs(outputs, None if context is None else _audit(cfg, context))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,11 +8,13 @@ produces the rescaled copy and records the original bounds in
 
 CSV text uses shortest exact float representations (round-trip safe at
 up to 17 significant digits), so write -> ingest -> write is
-byte-identical.
+byte-identical. `write_rows` holds the one cell rule for every CSV the
+package writes.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,24 +230,35 @@ def ingest_csv(path, schema: ColumnSchema) -> Dataset:
     )
 
 
-def _fmt(x: float) -> str:
-    # shortest representation that round-trips the exact float value
-    return repr(float(x))
+def _csv_cell(v) -> str:
+    """CSV text of one cell: the shortest exact repr of a finite float, an
+    int as digits, an empty cell for None or a non-finite float."""
+    if v is None:
+        return ""
+    if isinstance(v, (np.floating, float)):
+        f = float(v)
+        return repr(f) if math.isfinite(f) else ""
+    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+        return str(int(v))
+    return str(v)
 
 
-def write_csv(ds: Dataset, path) -> None:
-    """Write a Dataset with exact-round-trip float formatting."""
+def write_rows(fh, header, rows) -> None:
+    """A header row, then each row's cells by `_csv_cell`, to an open file."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(v) for v in row])
+
+
+def write_csv(ds: Dataset, path) -> list[str]:
+    """Write a Dataset with exact-round-trip float formatting; returns the
+    header."""
+    header = list(ds.covariate_names) + ["a", "y"] + (["c"] if ds.c is not None else [])
+    cols = [*ds.w.T, ds.a, ds.y] + ([ds.c] if ds.c is not None else [])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(ds.covariate_names) + ["a", "y"] + (["c"] if ds.c is not None else [])
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [_fmt(v) for v in ds.w[i]]
-            row.append(str(int(ds.a[i])))
-            row.append(_fmt(ds.y[i]))
-            if ds.c is not None:
-                row.append(_fmt(ds.c[i]))
-            writer.writerow(row)
+        write_rows(fh, header, zip(*(col.tolist() for col in cols)))
+    return header
 
 
 def scale_outcome(ds: Dataset) -> Dataset:

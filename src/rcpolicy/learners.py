@@ -109,7 +109,9 @@ def _candidates(
     """(spec, term columns) of each candidate in `library`, by the rule in
     the module docstring; tags[j] is the covariate term column j carries
     (None for the intercept and A). Stepwise's columns are None: the data
-    picks them. A repeated spec keeps its first place, which breaks ties.
+    picks them. A repeated spec keeps its first place, which breaks ties;
+    a spec with an earlier candidate's columns (`uni:<name>` of a single
+    covariate has `glm`'s) is dropped, as it would refit the same design.
     """
     names = list(dict.fromkeys(t for t in tags if t is not None))
     specs = [s for spec in library
@@ -128,7 +130,8 @@ def _candidates(
             terms = tuple(j for j, t in enumerate(tags) if t in (None, spec[4:]))
         else:
             raise ValueError(f"unknown learner spec {spec!r}")
-        out.append((spec, terms))
+        if terms is None or all(terms != t for _, t in out):
+            out.append((spec, terms))
     if not out:
         raise ValueError("empty learner library")
     return out
@@ -331,10 +334,9 @@ def make_pseudo_outcome(ds: Dataset, q: OutcomeModel, g: PropensityModel) -> np.
     """
     g1 = g.predict(ds.w)
     g_obs = np.where(ds.a == 1, g1, 1.0 - g1)
-    qa = q.predict(ds.a, ds.w)
     q0, q1 = q.predict_both(ds.w)
     sign = 2.0 * ds.a - 1.0
-    return sign / g_obs * (ds.y - qa) + q1 - q0
+    return sign / g_obs * (ds.y - np.where(ds.a == 1, q1, q0)) + q1 - q0
 
 
 class BlipModel(_Stack):

@@ -565,6 +565,68 @@ def test_plot_data_rejects_a_malformed_section(tmp_path, capsys, what, flag, doc
     assert list(tmp_path.iterdir()) == [src]
 
 
+# --- the artifact contract ------------------------------------------------------
+
+# every command that writes artifacts: its argv with one required output
+# file, its optional output flags and files, and the plot-data views of
+# its JSON (--data is filled in from the shared workdir)
+_WRITERS = {
+    "simulate": (["--dgp", "adaptr_like", "--n", "60", "--out", "s.csv"],
+                 {"--oracle": "oracle.json"}, {}),
+    "fit-rule": (["--kappa", "0:1:0.5", *LEAN_FLAGS, "--out", "rule.json"],
+                 {"--save-model": "model.json", "--assignments": "assign.csv"},
+                 {"blip-hist": "model.json"}),
+    "evaluate": (["--kappa-grid", "0:1:0.5", *LEAN_FLAGS, "--out", "eval.json"], {},
+                 {"value-curve": "eval.json"}),
+    "msm": (["--kappa-grid", "0:1:0.5", "--bootstrap", "2", *LEAN_FLAGS, "--out", "msm.json"],
+            {"--plot-out": "plot.csv"}, {"msm": "msm.json"}),
+    "icer": (["--kappa-grid", "0.5:1:0.5", *LEAN_FLAGS, "--out", "icer.json"],
+             {"--plane-out": "plane.csv"}, {"ce-plane": "icer.json"}),
+    "subgroups": (["--out", "sub.json"], {}, {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_every_artifact_carries_the_commands_audit(workdir, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv, optional, views = _WRITERS[command]
+    argv = [command, *argv] + ([] if command == "simulate" else ["--data", workdir["csv"]])
+    out = argv[argv.index("--out") + 1]
+
+    def written():
+        return sorted(os.listdir(tmp_path))
+
+    # an optional output that is unset, or set to an empty path, writes no file
+    assert main(argv) == 0
+    required = [out, out + ".meta.json"] if out.endswith(".csv") else [out]
+    assert written() == required
+    for f in required:
+        os.remove(f)
+    assert main([*argv, *(arg for flag in optional for arg in (flag, ""))]) == 0
+    assert written() == required
+
+    assert main([*argv, *(arg for item in optional.items() for arg in item)]) == 0
+    files = [*required, *optional.values()]
+    files += [f + ".meta.json" for f in optional.values() if f.endswith(".csv")]
+    assert written() == sorted(files)
+    audits = []
+    for f in files:
+        if f.endswith(".csv"):
+            continue
+        doc = _load(f)
+        assert list(doc)[-1] == "audit", f
+        audits.append(doc["audit"])
+    assert audits[0]["config"]["command"] == command
+    assert all(audit == audits[0] for audit in audits)
+
+    # plot-data's sidecar carries the audit of the artifact it projects
+    for what, source in views.items():
+        assert main(["plot-data", "--what", what, "--model" if what == "blip-hist" else "--results",
+                     source, "--out", "view.csv"]) == 0
+        meta = _load("view.csv.meta.json")
+        assert meta == {"source": source, "what": what, "audit": audits[0]}
+
+
 # --- dispatch and error mapping -----------------------------------------------
 
 

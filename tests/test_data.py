@@ -39,6 +39,25 @@ def test_ingest_rejects_missing_cell(tmp_path):
         ingest_csv(p, ColumnSchema(treatment="a", outcome="y", covariates=("w1",)))
 
 
+def test_ingest_names_the_column_and_row_of_a_non_numeric_cell(tmp_path):
+    p = _write(tmp_path / "d.csv", "w1,a,y\n0,0,1\n1,1,0\nabc,1,1\n")
+    with pytest.raises(ValueError, match=r"non-numeric value 'abc' in column 'w1' \(row 4\)"):
+        ingest_csv(p, ColumnSchema(treatment="a", outcome="y", covariates=("w1",)))
+
+
+def test_ingest_bounded_real_without_bounds_takes_the_observed_range(tmp_path):
+    p = _write(tmp_path / "d.csv", "w1,a,y\n0,0,2.5\n1,1,7\n0,1,4\n")
+    ds = ingest_csv(p, ColumnSchema(treatment="a", outcome="y", covariates=("w1",)))
+    assert ds.outcome_kind == "bounded_real"
+    assert ds.y_bounds == (2.5, 7.0)
+
+
+def test_ingest_rejects_a_constant_bounded_real_outcome(tmp_path):
+    p = _write(tmp_path / "d.csv", "w1,a,y\n0,0,3\n1,1,3\n0,1,3\n")
+    with pytest.raises(ValueError, match="outcome column 'y' is constant"):
+        ingest_csv(p, ColumnSchema(treatment="a", outcome="y", covariates=("w1",)))
+
+
 def test_ingest_rejects_unknown_column(tmp_path):
     p = _write(tmp_path / "d.csv", "w1,a,y\n0,0,1\n1,1,1\n")
     with pytest.raises(ValueError, match="w9"):

@@ -130,9 +130,9 @@ _FULL = ("mean", "glm", "univariate", "step_aic")
 
 
 @pytest.mark.parametrize("library, tags, expected", [
-    (_FULL, _OUT1, [("mean", (0,)), ("glm", (0, 1, 2, 3)), ("uni:x", (0, 1, 2, 3)),
-                    ("step_aic", None)]),
-    (_FULL, _BLIP1, [("mean", (0,)), ("glm", (0, 1)), ("uni:x", (0, 1)), ("step_aic", None)]),
+    # one covariate: uni:x has glm's columns, so only glm keeps them
+    (_FULL, _OUT1, [("mean", (0,)), ("glm", (0, 1, 2, 3)), ("step_aic", None)]),
+    (_FULL, _BLIP1, [("mean", (0,)), ("glm", (0, 1)), ("step_aic", None)]),
     (_FULL, _OUT3, [("mean", (0,)), ("glm", (0, 1, 2, 3, 4, 5, 6, 7)), ("uni:u", (0, 1, 2, 5)),
                     ("uni:v", (0, 1, 3, 6)), ("uni:w", (0, 1, 4, 7)), ("step_aic", None)]),
     (_FULL, _BLIP3, [("mean", (0,)), ("glm", (0, 1, 2, 3)), ("uni:u", (0, 1)), ("uni:v", (0, 2)),
@@ -146,6 +146,17 @@ _FULL = ("mean", "glm", "univariate", "step_aic")
 ])
 def test_candidates_pick_term_columns_by_tag(library, tags, expected):
     assert _candidates(library, tags) == expected
+
+
+def test_no_two_candidates_of_a_stack_share_columns():
+    # with one covariate, glm and uni:w1 would fit the same design in every split
+    ds = generate(one_interaction(n_covariates=1, seed=3), 400)
+    q = fit_outcome(ds, _FULL, folds=5, seed=3)
+    b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), _FULL, folds=5, seed=3)
+    for stack in (q, b):
+        assert stack.candidate_names == ("mean", "glm", "step_aic")
+        fixed = [c.terms for c in stack.candidates if c.name != "step_aic"]
+        assert len(set(fixed)) == len(fixed)
 
 
 @pytest.mark.parametrize("library, tags, message", [
@@ -304,6 +315,17 @@ def test_propensity_single_arm_errors():
     g = fit_propensity(ds, known_value=0.5, estimate=True)  # reverts with a warning
     assert g.warnings
     assert np.all(g.predict(ds.w) == 0.5)
+
+
+@pytest.mark.parametrize("known, constant", [(0.4, 0.4), (None, 6 / 11)])
+def test_propensity_separation_falls_back_to_a_constant(known, constant):
+    # A = w1 separates perfectly: the known value, else the treated fraction
+    a = [1] * 6 + [0] * 5
+    ds = _binary_ds([[float(v)] for v in a], a, [0.0, 1.0] * 5 + [1.0])
+    g = fit_propensity(ds, known_value=known, estimate=True)
+    assert g.mode == "known_constant" and g.constant == constant
+    assert g.warnings == ("propensity fit fell back (separation); using constant",)
+    assert np.all(g.predict(ds.w) == constant)
 
 
 def test_propensity_truncation():

@@ -23,7 +23,8 @@ from rcpolicy import (
 )
 from rcpolicy.glm import logit
 from rcpolicy.data import scale_outcome
-from rcpolicy.tmle import CvNuisance, assignment_for, fit_full_rules, value_from_assignment
+from rcpolicy.tmle import (CvNuisance, _fluctuate, assignment_for, fit_full_rules,
+                           value_from_assignment)
 
 
 # --- seed derivation ---------------------------------------------------------
@@ -44,6 +45,21 @@ def test_score_solved_below_warning_level(adaptr_2k, lean_config):
     est = cv_tmle_value(adaptr_2k, 0.5, lean_config)
     assert est.score <= 1e-8
     assert not any("fluctuation" in w for w in est.warnings)
+
+
+def test_fluctuation_with_all_zero_weights_is_skipped():
+    offset, y = np.array([0.2, -0.4, 1.0]), np.array([1.0, 0.0, 0.0])
+    eps, score, warning = _fluctuate(offset, np.zeros(3), y)
+    assert eps == 0.0 and score == 0.0
+    assert warning == "fluctuation skipped: all clever-covariate weights are zero"
+
+
+def test_fluctuation_on_saturated_offsets_stalls():
+    # expit(+-800) is exactly 1 or 0: the score is 0.5 and its derivative 0
+    offset, h, y = np.array([800.0, -800.0]), np.ones(2), np.zeros(2)
+    eps, score, warning = _fluctuate(offset, h, y)
+    assert eps == 0.0 and score == 0.5
+    assert warning == "fluctuation stalled: flat score derivative"
 
 
 def _penalty(nuis, asg):
