@@ -50,8 +50,8 @@ from .learners import (
 )
 from .msm import MsmFit, fit_msm, msm_with_bootstrap
 from .rule import (
+    STATIC_ARMS,
     RulePolicy,
-    StaticPolicy,
     ThresholdSolution,
     blip_atoms,
     build_policy,
@@ -89,7 +89,7 @@ __all__ = [
     "PipelineConfig",
     "PropensityModel",
     "RulePolicy",
-    "StaticPolicy",
+    "STATIC_ARMS",
     "SubgroupResult",
     "ThresholdSolution",
     "ValueEstimate",

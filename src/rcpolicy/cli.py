@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_hash, require_int
-from .data import ColumnSchema, Dataset, ingest_csv, scale_outcome, write_csv, write_rows
+from .data import ColumnSchema, Dataset, ingest_csv, write_csv, write_rows
 from .dgp import (
     DGP_KINDS,
     adaptr_like,
@@ -47,8 +47,8 @@ from .dgp import (
 from .icer import icer_curve, ratio
 from .learners import subgroup_scan
 from .msm import msm_with_bootstrap
-from .rule import assign_from_blips, blip_atoms
-from .tmle import contrast_estimates, evaluate_grid, fit_full_rules
+from .rule import STATIC_ARMS, blip_atoms
+from .tmle import assignment_for, contrast_estimates, evaluate_grid, fit_full
 
 __all__ = ["main", "build_parser", "CliError"]
 
@@ -401,15 +401,14 @@ def _cmd_fit_rule(args, cfg: PipelineConfig):
     kappas, single = _parse_kappa_arg(str(_required(args.kappa, "kappa")))
     ds, context = _load_dataset(args)
     context["kappa"] = kappas
-    ds_s = scale_outcome(ds)
-    lo, hi = ds_s.y_scale
+    blip, nuis = fit_full(ds, cfg)
+    lo, hi = nuis.ds.y_scale
     s = hi - lo  # blips and thresholds are fit on [0, 1]; report outcome units
-    blip, policies, warnings = fit_full_rules(ds_s, kappas, cfg)
-    blips = np.asarray(blip.predict(ds_s.w), dtype=float)
+    assignments = [assignment_for(nuis, k) for k in kappas]
 
     blocks = []
-    for pol in policies:
-        sol = pol.threshold
+    for asg in assignments:
+        (sol,) = asg.thresholds
         blocks.append({
             "kappa": sol.kappa,
             "tau": s * sol.tau,
@@ -417,22 +416,21 @@ def _cmd_fit_rule(args, cfg: PipelineConfig):
             "s_at_tau": sol.s_at_tau,
             "tie_mass": sol.tie_mass,
             "tie_prob": sol.tie_prob,
-            "pct_treated": pol.pct_treated,
-            "pct_stochastic": pol.pct_stochastic,
+            "pct_treated": asg.pct_treated,
+            "pct_stochastic": asg.pct_stochastic,
         })
     rules = blocks[0] if single else {"rules": blocks}
     model = {
         "covariate_names": list(ds.covariate_names),
         "y_scale": [lo, hi],
         "blip": blip.to_dict(),
-        "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(blips)],
+        "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(nuis.val_blip)],
         "rules": blocks,
     }
     header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]
-    assign_cols = [assign_from_blips(blips, pol.threshold) for pol in policies]
-    blip_units = s * blips
-    rows = ([i, blip_units[i]] + [col[i] for col in assign_cols] for i in range(ds.n))
-    return context, [(args.out, {**rules, "warnings": list(warnings)}),
+    blip_units = s * nuis.val_blip
+    rows = ([i, blip_units[i]] + [asg.gtilde1[i] for asg in assignments] for i in range(ds.n))
+    return context, [(args.out, {**rules, "warnings": list(nuis.warnings)}),
                      (args.save_model, model),
                      (args.assignments, header, rows)]
 
@@ -512,7 +510,7 @@ def _cmd_msm(args, cfg: PipelineConfig):
 def _cmd_icer(args, cfg: PipelineConfig):
     kappas, ds, context = _grid_setup(args, need_cost=True)
     comparator = str(args.comparator).replace("-", "_")
-    if comparator not in ("treat_none", "treat_all"):
+    if comparator not in STATIC_ARMS:
         raise CliError("--comparator must be treat-none or treat-all")
     context["comparator"] = comparator
     curve = icer_curve(ds, kappas, comparator=comparator, config=cfg)

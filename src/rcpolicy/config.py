@@ -54,6 +54,8 @@ class PipelineConfig:
             raise ValueError("learner libraries must be non-empty")
         if self.g_known is not None and not (0.0 < self.g_known < 1.0):
             raise ValueError("g_known must be in (0, 1)")
+        if self.g_estimate is False and self.g_known is None:
+            raise ValueError("g_estimate false (--no-g-estimate) needs g_known (--g-known)")
         if not (0.0 < self.g_min < 0.5):
             raise ValueError("g_min must be in (0, 0.5)")
         if not (0.0 < self.ci_level < 1.0):

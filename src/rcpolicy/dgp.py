@@ -441,8 +441,6 @@ class OracleOutcomeModel:
 class OraclePropensityModel:
     """The true randomization probability, shaped like a fitted model."""
 
-    mode = "known_constant"
-
     def __init__(self, spec: DgpSpec):
         self.spec = spec
 

@@ -238,6 +238,11 @@ def _logistic_intercept_fallback(X: np.ndarray, y: np.ndarray, reason: str) -> G
     return GlmFit(coef=coef, family="binomial", fallback=reason)
 
 
+def rss_floor(y: np.ndarray) -> float:
+    """RSS at or below which a least-squares fit of y is exact (rounding noise)."""
+    return _RSS_FLOOR * float(y @ y)
+
+
 def aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
     """AIC of `fit` on (X, y) under its family's likelihood."""
     if fit.family == "binomial":
@@ -248,7 +253,7 @@ def aic(X: np.ndarray, y: np.ndarray, fit: GlmFit) -> float:
     n = len(y)
     # an exact fit's RSS is rounding noise; flooring it relative to y's
     # scale makes every exact model tie, so stepwise stops at the first one
-    rss = max(float(resid @ resid), _RSS_FLOOR * float(y @ y), 1e-300)
+    rss = max(float(resid @ resid), rss_floor(y), 1e-300)
     return n * np.log(rss / n) + 2 * X.shape[1]
 
 

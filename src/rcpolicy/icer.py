@@ -25,12 +25,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .data import Dataset
-from .rule import StaticPolicy
+from .rule import STATIC_ARMS
 from .tmle import assignment_for, fit_folds, value_from_assignment
 
 __all__ = ["IcerEstimate", "IcerCurve", "icer_curve", "ratio"]
-
-COMPARATORS = ("treat_none", "treat_all")
 
 
 def ratio(numerator: float, denominator: float) -> float:
@@ -95,8 +93,8 @@ def icer_curve(
     cfg = config or PipelineConfig()
     if ds.c is None:
         raise ValueError("cost-effectiveness analysis needs a cost column")
-    if comparator not in COMPARATORS:
-        raise ValueError(f"comparator must be one of {COMPARATORS}")
+    if comparator not in STATIC_ARMS:
+        raise ValueError(f"comparator must be one of {STATIC_ARMS}")
     nuis_y = fit_folds(ds, cfg)
     n = nuis_y.n
     lo_c, hi_c = float(np.min(ds.c)), float(np.max(ds.c))
@@ -127,7 +125,7 @@ def icer_curve(
         cost_warnings.extend(est.warnings)
         return est.psi, est.eif
 
-    comp_asg = assignment_for(nuis_y, StaticPolicy(1 if comparator == "treat_all" else 0))
+    comp_asg = assignment_for(nuis_y, comparator)
     comp_eff, comp_eff_eif = effect(comp_asg)
     comp_cost, comp_cost_eif = cost(comp_asg)
 

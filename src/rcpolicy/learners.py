@@ -418,9 +418,11 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
 
     For each covariate, a likelihood ratio test compares the linear
     regressions y ~ a + w_j + a*w_j and y ~ a + w_j; covariates with
-    p < alpha are flagged. Covariates with few distinct values also get
-    per-level arm-mean differences for plotting. Constant covariates are
-    skipped with a note.
+    p < alpha are flagged. An RSS at or below `glm.rss_floor` is an exact
+    fit: p is 1 when both models fit exactly (a constant outcome, say)
+    and 0 when only the interaction model does. Covariates with few
+    distinct values also get per-level arm-mean differences for
+    plotting. Constant covariates are skipped with a note.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -432,6 +434,7 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
         raise ValueError("subgroup scan needs both treatment arms")
     a = ds.a.astype(float)
     y = ds.y
+    exact = glm.rss_floor(y)
     results: list[SubgroupResult] = []
     for j, name in enumerate(ds.covariate_names):
         x = ds.w[:, j]
@@ -447,8 +450,8 @@ def subgroup_scan(ds: Dataset, alpha: float = 0.1, max_levels: int = 10) -> list
         X1 = np.column_stack([ones, a, x, a * x])
         rss0 = _rss(X0, y)
         rss1 = _rss(X1, y)
-        if rss1 <= 0.0:
-            p = 1.0 if rss0 <= 0.0 else 0.0
+        if rss1 <= exact:
+            p = 1.0 if rss0 <= exact else 0.0
         else:
             lr = ds.n * np.log(rss0 / rss1)
             p = math.erfc(math.sqrt(max(lr, 0.0) / 2.0))  # chi-square(1) tail

@@ -23,9 +23,9 @@ A blip distribution is grouped once into an `AtomTable` (`atom_table`):
 the sorted rows, the atoms and the mass above each atom. The rule at a
 budget depends on the budget only through the threshold, so a table
 answers every budget; CV-TMLE builds one per fold when it fits the fold's
-nuisances and solves each budget on it, and `solve_threshold` on raw
-blips, `blip_atoms` and `build_policy` build theirs through the same
-`atom_table`. Grouping runs in numpy: when no two neighbouring sorted
+nuisances (the full-data rule, one of every row) and `tmle.assignment_for`
+solves each budget on it. `solve_threshold` on raw blips, `blip_atoms`
+and `build_policy` build theirs through the same `atom_table`. Grouping runs in numpy: when no two neighbouring sorted
 blips are within TIE_TOL every row is its own atom, the table keeps the
 rows as its atoms, and nothing loops; otherwise only the runs of
 near-tied rows are walked, one atom per step, and each atom's mass is
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "StaticPolicy",
+    "STATIC_ARMS",
     "RulePolicy",
     "ThresholdSolution",
     "AtomTable",
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # blip values within this distance form one atom
+
+# the static comparators, by name; an arm's index is its treatment probability
+STATIC_ARMS = ("treat_none", "treat_all")
 
 
 @dataclass(frozen=True)
@@ -279,33 +282,6 @@ class RulePolicy:
         return assign_from_blips(b, self.threshold)
 
 
-@dataclass(frozen=True)
-class StaticPolicy:
-    """Treat-all (arm=1) or treat-none (arm=0), independent of covariates.
-
-    Exposes RulePolicy's kappa, tau and assign so value estimation runs
-    both through one code path. tau is 0 and kappa is the arm itself, which
-    makes the influence-function penalty term vanish identically.
-    """
-
-    arm: int
-
-    def __post_init__(self):
-        if self.arm not in (0, 1):
-            raise ValueError("arm must be 0 or 1")
-
-    @property
-    def kappa(self) -> float:
-        return float(self.arm)
-
-    @property
-    def tau(self) -> float:
-        return 0.0
-
-    def assign(self, w: np.ndarray) -> np.ndarray:
-        return np.full(np.atleast_2d(w).shape[0], float(self.arm))
-
-
 def build_policy(model, ds, kappa: float) -> RulePolicy:
     """Fit the constrained rule on a dataset's empirical blip distribution.
 
@@ -314,11 +290,5 @@ def build_policy(model, ds, kappa: float) -> RulePolicy:
     their predicted blip against the stored threshold.
     """
     blips = np.asarray(model.predict(ds.w), dtype=float)
-    return _policy_on(model.predict, blips, atom_table(blips), kappa)
-
-
-def _policy_on(blip_predict, blips: np.ndarray, table: AtomTable, kappa: float) -> RulePolicy:
-    """The rule at kappa on `table`, the atom table of the in-sample blips;
-    one table serves every budget."""
-    sol = solve_threshold(table, kappa)
-    return RulePolicy(sol, blip_predict, *treated_fractions(assign_from_blips(blips, sol)))
+    sol = solve_threshold(blips, kappa)
+    return RulePolicy(sol, model.predict, *treated_fractions(assign_from_blips(blips, sol)))

@@ -15,10 +15,11 @@ Nuisances are fit by `fit_nuisance`, and every value is computed by
   tmle_value      single-sample TMLE: the supplied q and g form a
                   one-fold nuisance, and the rule is taken as given.
 
-`fit_full_rules` fits the full-data rule (one blip fit on every row),
-the rule `fit-rule` reports.
-An `Assignment` is a rule resolved on the sample: each row's treatment
-probability and the threshold that row's fold used.
+`fit_full` fits every nuisance once on all rows: a one-fold nuisance
+whose budget assignments are the full-data rules `fit-rule` reports.
+`assignment_for` resolves a budget, a static arm's name or a fitted
+policy to an `Assignment`: each row's treatment probability and the
+threshold that row's fold used.
 
 For budget-constrained rules the influence function carries an extra
 tau * (d(W) - kappa) term reflecting that the threshold itself was
@@ -31,7 +32,8 @@ the outcome's original scale; internally everything runs on [0, 1].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +42,7 @@ from .config import Z_975, PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import expit, logit
 from .learners import (
+    BlipModel,
     OutcomeModel,
     PropensityModel,
     fit_blip,
@@ -47,7 +50,7 @@ from .learners import (
     fit_propensity,
     stratified_folds,
 )
-from .rule import (AtomTable, StaticPolicy, _policy_on, assign_from_blips, atom_table,
+from .rule import (STATIC_ARMS, AtomTable, ThresholdSolution, assign_from_blips, atom_table,
                    solve_threshold, treated_fractions)
 
 __all__ = [
@@ -62,7 +65,7 @@ __all__ = [
     "derive_seed",
     "evaluate_grid",
     "fit_folds",
-    "fit_full_rules",
+    "fit_full",
     "tmle_value",
     "value_from_assignment",
 ]
@@ -193,9 +196,10 @@ class CvNuisance:
     its own training rows (folds in np.unique(fold_id) order), the
     distribution the fold's threshold is solved on at every budget;
     `fit_folds` builds each once. val_blip and tables are empty when the
-    nuisance was fit without blips; such a nuisance serves policy
-    objects only. A one-fold nuisance (`one_fold`) does no
-    cross-fitting: it holds supplied q and g predicted on every row.
+    nuisance was fit without blips; such a nuisance serves static arms
+    and policy objects only. A one-fold nuisance (`one_fold`) does no
+    cross-fitting: it holds supplied q and g predicted on every row and,
+    given a blip model, its blips on every row and their one atom table.
     The row indices of each fold (fold_rows) and the logits that every
     fluctuation starts from are computed once, on first use. The
     outcome's original bounds are ds.y_scale.
@@ -237,11 +241,14 @@ class CvNuisance:
 
     @classmethod
     def one_fold(cls, ds: Dataset, q: OutcomeModel, g: PropensityModel,
-                 config: PipelineConfig | None = None) -> "CvNuisance":
-        """q and g predicted on every row of ds, as one fold without blips."""
+                 config: PipelineConfig | None = None,
+                 blip: BlipModel | None = None) -> "CvNuisance":
+        """q, g and, if given, blip predicted on every row of ds, as one fold."""
         ds = scale_outcome(ds)
+        val_blip = np.empty(0) if blip is None else np.asarray(blip.predict(ds.w), dtype=float)
         return cls(ds=ds, fold_id=np.zeros(ds.n, dtype=int), q0=q.predict(0, ds.w),
-                   q1=q.predict(1, ds.w), g1=g.predict(ds.w), val_blip=np.empty(0), tables=(),
+                   q1=q.predict(1, ds.w), g1=g.predict(ds.w), val_blip=val_blip,
+                   tables=() if blip is None else (atom_table(val_blip),),
                    config=config or PipelineConfig())
 
 
@@ -338,7 +345,8 @@ class Assignment:
     gtilde1[i] is the probability row i is treated. tau_row[i] is the
     threshold used for row i's fold (constant for fixed policies), on
     the scaled-blip axis; the penalty term of the influence function
-    uses it row by row.
+    uses it row by row. thresholds holds each fold's solution of a
+    budget, in fold order, and is empty for a static arm or a policy.
     """
 
     label: str
@@ -347,36 +355,42 @@ class Assignment:
     tau_row: np.ndarray
     pct_treated: float
     pct_stochastic: float
+    thresholds: tuple[ThresholdSolution, ...] = ()
 
 
 def assignment_for(nuis: CvNuisance, target) -> Assignment:
-    """Resolve a target (budget kappa or policy object) to row assignments.
+    """Resolve a target to row assignments.
 
-    A float target solves the constrained threshold per fold on that
-    fold's training blips and applies it to the fold's held-out rows. A
-    policy object (static arm or an already-fit rule) is applied as-is
-    to every row; its threshold enters the penalty unchanged.
+    A budget kappa solves the constrained threshold per fold on that
+    fold's training blips (every row's, on a one-fold nuisance) and
+    applies it to the fold's held-out rows. A static arm's name from
+    STATIC_ARMS gives every row its index as probability, threshold 0. A
+    policy object (kappa, tau and assign, e.g. a fitted RulePolicy) is
+    applied as-is to every row; its threshold enters the penalty unchanged.
     """
-    if not isinstance(target, (int, float, np.floating)):
-        kappa = float(target.kappa)
-        if isinstance(target, StaticPolicy):
-            label = "treat_all" if target.arm == 1 else "treat_none"
-        else:
-            label = f"rule(kappa={kappa:g})"
+    if isinstance(target, numbers.Real):  # numpy integers and floats too
+        if not nuis.tables:
+            raise ValueError("a budget target needs a nuisance fit with blips")
+        kappa = float(target)
+        gtilde1 = np.empty(nuis.n)
+        tau_row = np.empty(nuis.n)
+        sols = tuple(solve_threshold(table, kappa) for table in nuis.tables)
+        for rows, sol in zip(nuis.fold_rows, sols):
+            gtilde1[rows] = assign_from_blips(nuis.val_blip[rows], sol)
+            tau_row[rows] = sol.tau
+        return Assignment(f"kappa={kappa:g}", kappa, gtilde1, tau_row,
+                          *treated_fractions(gtilde1), sols)
+    if isinstance(target, str):
+        if target not in STATIC_ARMS:
+            raise ValueError(f"a static arm is one of {STATIC_ARMS}, got {target!r}")
+        kappa = float(STATIC_ARMS.index(target))
+        label, gtilde1, tau = target, np.full(nuis.n, kappa), 0.0
+    else:
+        kappa, tau = float(target.kappa), float(target.tau)
+        label = f"rule(kappa={kappa:g})"
         gtilde1 = np.asarray(target.assign(nuis.ds.w), dtype=float)
-        tau = float(target.tau)
-        return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau),
-                          *treated_fractions(gtilde1))
-    if not nuis.tables:
-        raise ValueError("a budget target needs a nuisance fit with blips")
-    kappa = float(target)
-    gtilde1 = np.empty(nuis.n)
-    tau_row = np.empty(nuis.n)
-    for rows, table in zip(nuis.fold_rows, nuis.tables):
-        sol = solve_threshold(table, kappa)
-        gtilde1[rows] = assign_from_blips(nuis.val_blip[rows], sol)
-        tau_row[rows] = sol.tau
-    return Assignment(f"kappa={kappa:g}", kappa, gtilde1, tau_row, *treated_fractions(gtilde1))
+    return Assignment(label, kappa, gtilde1, np.full(len(gtilde1), tau),
+                      *treated_fractions(gtilde1))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +456,9 @@ def cv_tmle_value(
     """Cross-validated TMLE of a policy value.
 
     target is a budget kappa in [0, 1] (the constrained rule is then
-    learned per fold) or a policy object applied as-is. Pass a
-    pre-computed `nuisance` to amortize fits across many targets.
+    learned per fold), a static arm's name or a policy object applied
+    as-is. Pass a pre-computed `nuisance` to amortize fits across many
+    targets.
     """
     cfg = config or PipelineConfig()
     if nuisance is None:
@@ -469,24 +484,21 @@ def tmle_value(
     return value_from_assignment(nuis, assignment_for(nuis, policy))
 
 
-def fit_full_rules(ds: Dataset, kappas, config: PipelineConfig | None = None):
-    """The full-data rule at each budget, with no cross-fitting.
+def fit_full(ds: Dataset, config: PipelineConfig | None = None):
+    """Every nuisance fit once on all of ds, with no cross-fitting.
 
-    One blip fit on all of ds (outcome scaled to [0, 1]) and its
-    constrained rule per kappa, every budget solved on one atom table of
-    the in-sample blips. Returns (blip, policies, warnings): policies
-    follow kappas, thresholds are on the [0, 1] scale, and warnings are
-    the fits' own, deduplicated.
+    Returns (blip, nuisance): the blip fit and the one-fold nuisance of
+    all three fits, whose assignment at a budget is the full-data rule
+    there, its threshold solved on the in-sample blips (on the [0, 1]
+    scale). The nuisance's warnings are the fits' own, deduplicated.
     """
     cfg = config or PipelineConfig()
-    ds_s = scale_outcome(ds)
-    _, _, blip, warnings = fit_nuisance(
-        ds_s, cfg, derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
+    ds = scale_outcome(ds)
+    q, g, blip, warnings = fit_nuisance(
+        ds, cfg, derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
     )
-    blips = np.asarray(blip.predict(ds_s.w), dtype=float)
-    table = atom_table(blips)
-    policies = [_policy_on(blip.predict, blips, table, k) for k in kappas]
-    return blip, policies, tuple(dict.fromkeys(warnings))
+    nuis = CvNuisance.one_fold(ds, q, g, cfg, blip)
+    return blip, replace(nuis, warnings=tuple(dict.fromkeys(warnings)))
 
 
 @dataclass(frozen=True)
@@ -500,12 +512,7 @@ class GridResult:
     nuisance: CvNuisance = field(repr=False)
 
 
-def evaluate_grid(
-    ds: Dataset,
-    kappas,
-    config: PipelineConfig | None = None,
-    nuisance: CvNuisance | None = None,
-) -> GridResult:
+def evaluate_grid(ds: Dataset, kappas, config: PipelineConfig | None = None) -> GridResult:
     """CV-TMLE values along a budget grid, sharing one set of fold fits.
 
     The static treat-all / treat-none values ride along on the same
@@ -517,17 +524,10 @@ def evaluate_grid(
     for k in kappas:
         if not (0.0 <= k <= 1.0):
             raise ValueError("kappa grid values must lie in [0, 1]")
-    if nuisance is None:
-        nuisance = fit_folds(ds, cfg)
-    estimates = tuple(
-        value_from_assignment(nuisance, assignment_for(nuisance, k)) for k in kappas
-    )
-    treat_all = value_from_assignment(nuisance, assignment_for(nuisance, StaticPolicy(1)))
-    treat_none = value_from_assignment(nuisance, assignment_for(nuisance, StaticPolicy(0)))
-    return GridResult(
-        kappas=kappas,
-        estimates=estimates,
-        treat_all=treat_all,
-        treat_none=treat_none,
-        nuisance=nuisance,
-    )
+    nuisance = fit_folds(ds, cfg)
+    *estimates, treat_none, treat_all = [
+        value_from_assignment(nuisance, assignment_for(nuisance, t))
+        for t in (*kappas, *STATIC_ARMS)
+    ]
+    return GridResult(kappas=kappas, estimates=tuple(estimates), treat_all=treat_all,
+                      treat_none=treat_none, nuisance=nuisance)

@@ -31,7 +31,6 @@ from rcpolicy.dgp import (
     null_effect,
     one_interaction,
 )
-from rcpolicy.rule import StaticPolicy
 from rcpolicy.tmle import assignment_for, derive_seed, fit_folds, value_from_assignment
 
 REFERENCE_KAPPAS = tuple(round(0.1 * i, 10) for i in range(11))
@@ -163,7 +162,7 @@ def test_07_degenerate_budget_identities(adaptr_2k):
     cfg = PipelineConfig(seed=4, **LEAN)
     nuis = fit_folds(adaptr_2k, cfg)
     all_positive = bool(np.min(nuis.val_blip) > 0)
-    pairs = [(0.0, StaticPolicy(0)), (1.0, StaticPolicy(1))]
+    pairs = [(0.0, "treat_none"), (1.0, "treat_all")]
     ok = all_positive
     for kappa, static in pairs:
         if kappa == 1.0 and not all_positive:

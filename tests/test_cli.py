@@ -12,7 +12,7 @@ from rcpolicy.cli import CliError, _resolve_config, build_parser, main, parse_ka
 from rcpolicy.config import PipelineConfig, config_hash
 from rcpolicy.data import ColumnSchema, ingest_csv, scale_outcome
 from rcpolicy.dgp import adaptr_like, oracle
-from rcpolicy.tmle import fit_full_rules
+from rcpolicy.tmle import assignment_for, fit_full
 
 LEAN_FLAGS = ["--folds", "3", "--g-known", "0.5",
               "--outcome-library", "mean,glm", "--blip-library", "mean,glm"]
@@ -288,8 +288,8 @@ def test_fit_rule_reports_thresholds_in_outcome_units(tmp_path, capsys):
 
 
 def test_fit_rule_reports_the_full_data_rules(tmp_path, capsys):
-    """fit-rule reports the rules tmle.fit_full_rules fits, with each
-    tau in outcome units."""
+    """fit-rule reports the budget assignments of tmle.fit_full's one-fold
+    nuisance, with each tau in outcome units."""
     csv = tmp_path / "cont.csv"
     assert main(["simulate", "--dgp", "continuous_blip", "--n", "400", "--seed", "3",
                  "--no-cost", "--out", str(csv)]) == 0
@@ -310,12 +310,46 @@ def test_fit_rule_reports_the_full_data_rules(tmp_path, capsys):
         outcome_kind="bounded_real", y_bounds=(2.0, 6.0)))
     cfg = PipelineConfig(seed=3, folds=3, g_known=0.5,
                          outcome_library=("mean", "glm"), blip_library=("mean", "glm"))
-    _, policies, _ = fit_full_rules(ds, parse_kappa_grid("0:1:0.25"), cfg)
-    lo, hi = scale_outcome(ds).y_scale
-    assert (lo, hi) == (2.0, 6.0)
-    assert [r["kappa"] for r in rules] == [p.kappa for p in policies]
+    _, nuis = fit_full(ds, cfg)
+    sols = [assignment_for(nuis, k).thresholds[0] for k in parse_kappa_grid("0:1:0.25")]
+    lo, hi = nuis.ds.y_scale
+    assert (lo, hi) == scale_outcome(ds).y_scale == (2.0, 6.0)
+    assert [r["kappa"] for r in rules] == [sol.kappa for sol in sols]
     assert any(r["tau"] > 0 for r in rules)
-    assert [r["tau"] for r in rules] == [(hi - lo) * p.tau for p in policies]
+    assert [r["tau"] for r in rules] == [(hi - lo) * sol.tau for sol in sols]
+
+
+def test_fit_rule_predicts_blips_once_and_solves_each_budget_once(workdir, tmp_path,
+                                                                 monkeypatch):
+    """Every budget's rule block and --assignments column comes from one
+    set of full-data blips, through tmle.assignment_for."""
+    from rcpolicy import rule, tmle
+    from rcpolicy.learners import BlipModel
+
+    predicts, solves = [], []
+    predict, solve = BlipModel.predict, rule.solve_threshold
+
+    def counted_predict(self, w):
+        predicts.append(len(w))
+        return predict(self, w)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(kwargs.get("kappa", args[1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(BlipModel, "predict", counted_predict)
+    for mod in (rule, tmle):
+        monkeypatch.setattr(mod, "solve_threshold", counted_solve)
+    assign = tmp_path / "assign.csv"
+    assert main(["fit-rule", "--data", workdir["csv"], "--kappa", "0:1:0.25", "--seed", "5",
+                 "--out", str(tmp_path / "rule.json"), "--save-model", str(tmp_path / "m.json"),
+                 "--assignments", str(assign), *LEAN_FLAGS]) == 0
+    assert predicts == [1200]
+    assert solves == [0.0, 0.25, 0.5, 0.75, 1.0]
+    rules = _load(tmp_path / "rule.json")["rules"]
+    rows = np.array([line.split(",")[2:] for line in assign.read_text().splitlines()[1:]],
+                    dtype=float)
+    assert [r["pct_treated"] for r in rules] == pytest.approx(rows.mean(axis=0), abs=1e-12)
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -666,6 +700,31 @@ def test_validation_errors_exit_1(workdir, capsys, tmp_path):
     bad_cfg.write_text('{"max_levels": true}')
     assert main(["subgroups", "--data", workdir["csv"], "--config", str(bad_cfg)]) == 1
     assert "max_levels must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, grid", [("fit-rule", "--kappa"), ("evaluate", "--kappa-grid"),
+                                           ("msm", "--kappa-grid")])
+def test_no_g_estimate_without_g_known_exits_1_before_any_fit(workdir, monkeypatch, capsys,
+                                                               command, grid):
+    from rcpolicy import tmle
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit")
+
+    monkeypatch.setattr(tmle, "fit_outcome", no_fit)
+    assert main([command, "--data", workdir["csv"], grid, "0:1:0.5", "--no-g-estimate",
+                 "--folds", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "need known_value" not in err
+    assert all(name in err for name in ("g_estimate", "--no-g-estimate", "g_known", "--g-known"))
+
+
+def test_config_rejects_g_estimate_false_without_g_known():
+    with pytest.raises(ValueError, match="g_known"):
+        PipelineConfig(g_estimate=False)
+    with pytest.raises(ValueError, match="g_known"):
+        PipelineConfig(g_known=0.5).replace(g_estimate=False, g_known=None)
+    assert PipelineConfig(g_estimate=False, g_known=0.5).g_known == 0.5
 
 
 # a negative or NaN epsilon_den would never flag a zero ICER denominator

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rcpolicy import Dataset, PipelineConfig, StaticPolicy, fit_folds, icer_curve, ratio
+from rcpolicy import Dataset, PipelineConfig, fit_folds, icer_curve, ratio
 from rcpolicy.tmle import assignment_for, value_from_assignment
 
 LEAN = PipelineConfig(folds=5, g_known=0.5,
@@ -54,7 +54,7 @@ def _recompute(sides, kappa):
     """(numerator, denominator in pp, ratio, ic, policy and comparator
     assignments) from the four values against treat-none."""
     nuis_y, nuis_c = sides
-    pol, comp = assignment_for(nuis_y, kappa), assignment_for(nuis_y, StaticPolicy(0))
+    pol, comp = assignment_for(nuis_y, kappa), assignment_for(nuis_y, "treat_none")
     eff_pol, eff_comp = (value_from_assignment(nuis_y, a) for a in (pol, comp))
     cost_pol, cost_comp = (value_from_assignment(nuis_c, a) for a in (pol, comp))
     num = cost_pol.psi - cost_comp.psi

@@ -494,6 +494,25 @@ def test_subgroup_scan_skips_constant_covariate():
     assert np.isnan(results["cst"].p_value)
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_subgroup_scan_flags_nothing_on_a_constant_outcome(value):
+    # both models fit a constant exactly; their RSS is rounding noise
+    # (about 1e-30 for all ones), and its ratio must not read as a signal
+    ds = generate(adaptr_like(seed=3), 400)
+    const = Dataset(w=ds.w, a=ds.a, y=np.full(ds.n, value), covariate_names=ds.covariate_names)
+    for res in subgroup_scan(const):
+        assert res.p_value == 1.0 and not res.flagged, res.covariate
+
+
+def test_subgroup_scan_exact_interaction_has_p_zero():
+    x = np.tile([0.0, 1.0, 2.0, 3.0], 10)
+    a = np.repeat([0, 1], 20)
+    ds = Dataset(w=x[:, None], a=a, y=0.1 + 0.2 * x * a, covariate_names=("w1",),
+                 outcome_kind="bounded_real", y_bounds=(0.0, 1.0))
+    (res,) = subgroup_scan(ds)
+    assert res.p_value == 0.0 and res.flagged
+
+
 def test_subgroup_scan_levels_report_arm_differences():
     ds = generate(one_interaction(base_blip=0.0, interaction=0.3, seed=41), 4000)
     res = {r.covariate: r for r in subgroup_scan(ds)}["w1"]

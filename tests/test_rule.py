@@ -4,8 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcpolicy import (
+    CvNuisance,
     OracleBlipModel,
-    StaticPolicy,
+    OracleOutcomeModel,
+    OraclePropensityModel,
+    STATIC_ARMS,
     adaptr_like,
     blip_atoms,
     build_policy,
@@ -149,12 +152,20 @@ def test_build_policy_empty_dataset_errors():
 
 
 def test_static_policies():
-    w = np.zeros((7, 2))
-    assert np.all(StaticPolicy(arm=1).assign(w) == 1.0)
-    assert np.all(StaticPolicy(arm=0).assign(w) == 0.0)
-    assert StaticPolicy(arm=1).kappa == 1.0
-    with pytest.raises(ValueError):
-        StaticPolicy(arm=2)
+    # a static arm is a name, and its index is its treatment probability
+    from rcpolicy.tmle import assignment_for
+
+    spec = adaptr_like(seed=5)
+    nuis = CvNuisance.one_fold(generate(spec, 7), OracleOutcomeModel(spec),
+                               OraclePropensityModel(spec))
+    assert STATIC_ARMS == ("treat_none", "treat_all")
+    for arm, name in enumerate(STATIC_ARMS):
+        asg = assignment_for(nuis, name)
+        assert np.all(asg.gtilde1 == float(arm)) and len(asg.gtilde1) == 7
+        assert (asg.label, asg.kappa, asg.thresholds) == (name, float(arm), ())
+        assert np.all(asg.tau_row == 0.0)
+    with pytest.raises(ValueError, match="static arm"):
+        assignment_for(nuis, "treat_some")
 
 
 # --- distribution-free properties --------------------------------------------

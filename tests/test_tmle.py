@@ -7,7 +7,7 @@ from rcpolicy import (
     OracleOutcomeModel,
     OraclePropensityModel,
     PipelineConfig,
-    StaticPolicy,
+    STATIC_ARMS,
     adaptr_like,
     build_policy,
     constant_blip,
@@ -23,7 +23,7 @@ from rcpolicy import (
 )
 from rcpolicy.glm import logit
 from rcpolicy.data import scale_outcome
-from rcpolicy.tmle import (CvNuisance, _fluctuate, assignment_for, fit_full_rules,
+from rcpolicy.tmle import (CvNuisance, _fluctuate, assignment_for, fit_full,
                            value_from_assignment)
 
 
@@ -70,7 +70,7 @@ def _penalty(nuis, asg):
 
 def test_influence_component_identity(adaptr_2k, lean_config):
     nuis = fit_folds(adaptr_2k, lean_config)
-    for target in (0.3, 0.7, StaticPolicy(1), StaticPolicy(0)):
+    for target in (0.3, 0.7, "treat_all", "treat_none"):
         asg = assignment_for(nuis, target)
         est = value_from_assignment(nuis, asg)
         # the fluctuation zeroes the score, so the mean influence value
@@ -80,8 +80,8 @@ def test_influence_component_identity(adaptr_2k, lean_config):
 
 def test_static_policies_have_zero_penalty(adaptr_2k, lean_config):
     nuis = fit_folds(adaptr_2k, lean_config)
-    for arm in (0, 1):
-        asg = assignment_for(nuis, StaticPolicy(arm))
+    for arm in STATIC_ARMS:
+        asg = assignment_for(nuis, arm)
         est = value_from_assignment(nuis, asg)
         assert np.all(asg.tau_row == 0.0)
         assert abs(est.eif.mean()) <= 1e-9
@@ -142,11 +142,11 @@ def test_tmle_matches_hand_gcomputation_exactly():
     ds = _two_cell_dataset()
     q, g = _CellMeanQ(), _KnownHalfG()
 
-    est_all = tmle_value(ds, StaticPolicy(1), q=q, g=g)
+    est_all = tmle_value(ds, "treat_all", q=q, g=g)
     assert abs(est_all.epsilon) <= 1e-12
     assert est_all.psi == pytest.approx(0.5 * 0.6 + 0.5 * 0.8, abs=1e-10)
 
-    est_none = tmle_value(ds, StaticPolicy(0), q=q, g=g)
+    est_none = tmle_value(ds, "treat_none", q=q, g=g)
     assert est_none.psi == pytest.approx(0.5 * 0.4 + 0.5 * 0.5, abs=1e-10)
 
     # budget for half the sample: the w=1 cell outbids the w=0 cell
@@ -160,7 +160,7 @@ def test_tmle_matches_hand_gcomputation_exactly():
                                         (None, "rule(kappa=0.5)")])
 def test_single_and_cv_routes_describe_a_policy_alike(arm, label):
     ds = _two_cell_dataset()
-    policy = build_policy(_CellBlip(), ds, 0.5) if arm is None else StaticPolicy(arm)
+    policy = build_policy(_CellBlip(), ds, 0.5) if arm is None else STATIC_ARMS[arm]
     cfg = PipelineConfig(folds=2, g_known=0.5, outcome_library=("mean",), blip_library=("mean",))
     single = tmle_value(ds, policy, q=_CellMeanQ(), g=_KnownHalfG())
     cv = cv_tmle_value(ds, policy, cfg)
@@ -288,7 +288,7 @@ def test_fit_without_blips_keeps_q_and_g(adaptr_2k, lean_config):
         assert lean.folds == full.folds == 3
         assert lean.tables == () and lean.val_blip.size == 0
         assert all(np.all(np.diff(t.rows) >= 0) for t in full.tables)
-        static = assignment_for(lean, StaticPolicy(1))
+        static = assignment_for(lean, "treat_all")
         assert np.all(static.tau_row == 0)
         assert value_from_assignment(lean, static).psi == value_from_assignment(full, static).psi
         with pytest.raises(ValueError, match="blips"):
@@ -347,15 +347,17 @@ def test_full_rules_predict_once_and_solve_every_budget_on_one_table(monkeypatch
         return predict(self, w)
 
     monkeypatch.setattr(BlipModel, "predict", counted_predict)
-    blip, policies, _ = fit_full_rules(ds, kappas, lean_config)
+    blip, nuis = fit_full(ds, lean_config)
+    assignments = [assignment_for(nuis, kappa) for kappa in kappas]
     assert predicts == [ds.n]
     assert calls == {"builds": 1, "solves": len(kappas), "on_table": len(kappas)}
     ds_s = scale_outcome(ds)
-    for kappa, pol in zip(kappas, policies):
+    for kappa, asg in zip(kappas, assignments):
         ref = build_policy(blip, ds_s, kappa)
-        assert pol.threshold == ref.threshold
-        assert (pol.pct_treated, pol.pct_stochastic) == (ref.pct_treated, ref.pct_stochastic)
-    assert any(0 < pol.tau for pol in policies)
+        assert asg.thresholds == (ref.threshold,)
+        assert (asg.pct_treated, asg.pct_stochastic) == (ref.pct_treated, ref.pct_stochastic)
+        assert np.array_equal(asg.gtilde1, ref.assign(ds_s.w))
+    assert any(0 < asg.thresholds[0].tau for asg in assignments)
 
 
 def test_one_fold_nuisance_carries_the_logits(adaptr_2k):
@@ -365,6 +367,37 @@ def test_one_fold_nuisance_carries_the_logits(adaptr_2k):
     assert np.array_equal(nuis.logit_q1, logit(nuis.q1))
     q_obs = np.where(nuis.ds.a == 1, nuis.q1, nuis.q0)
     assert np.array_equal(nuis.logit_q_obs, logit(q_obs))
+
+
+def test_one_fold_budget_matches_the_fitted_policy(adaptr_2k):
+    """A one-fold nuisance with a blip model solves each budget on every
+    row's blips: the rule build_policy fits, scored alike."""
+    spec = adaptr_like(seed=11)
+    q, g, blip = OracleOutcomeModel(spec), OraclePropensityModel(spec), OracleBlipModel(spec)
+    nuis = CvNuisance.one_fold(adaptr_2k, q, g, blip=blip)
+    assert len(nuis.tables) == 1 and np.array_equal(nuis.val_blip, blip.predict(adaptr_2k.w))
+    for kappa in (0.3, 0.55, 1.0):
+        asg = assignment_for(nuis, kappa)
+        pol = build_policy(blip, adaptr_2k, kappa)
+        assert asg.thresholds == (pol.threshold,)
+        assert np.array_equal(asg.gtilde1, pol.assign(adaptr_2k.w))
+        est, ref = value_from_assignment(nuis, asg), tmle_value(adaptr_2k, pol, q, g)
+        assert (est.psi, est.se, est.tau) == (ref.psi, ref.se, ref.tau)
+
+
+def test_budget_assignment_keeps_each_folds_threshold(adaptr_2k, lean_config):
+    from rcpolicy import solve_threshold
+
+    nuis = fit_folds(adaptr_2k, lean_config)
+    asg = assignment_for(nuis, 0.4)
+    assert len(asg.thresholds) == nuis.folds
+    for rows, table, sol in zip(nuis.fold_rows, nuis.tables, asg.thresholds):
+        assert sol == solve_threshold(table, 0.4)
+        assert np.all(asg.tau_row[rows] == sol.tau)
+    assert assignment_for(nuis, "treat_all").thresholds == ()
+    # a numpy integer is a budget like any other number
+    assert np.array_equal(assignment_for(nuis, np.int64(1)).gtilde1,
+                          assignment_for(nuis, 1.0).gtilde1)
 
 
 def test_training_fold_losing_an_arm_errors():
