@@ -23,9 +23,6 @@ from .data import (
 from .dgp import (
     DGP_KINDS,
     DgpSpec,
-    OracleBlipModel,
-    OracleOutcomeModel,
-    OraclePropensityModel,
     OracleReport,
     adaptr_like,
     constant_blip,
@@ -67,7 +64,6 @@ from .tmle import (
     derive_seed,
     evaluate_grid,
     fit_folds,
-    tmle_value,
 )
 
 __all__ = [
@@ -81,9 +77,6 @@ __all__ = [
     "IcerCurve",
     "IcerEstimate",
     "MsmFit",
-    "OracleBlipModel",
-    "OracleOutcomeModel",
-    "OraclePropensityModel",
     "OracleReport",
     "OutcomeModel",
     "PipelineConfig",
@@ -123,6 +116,5 @@ __all__ = [
     "solve_threshold",
     "stratified_folds",
     "subgroup_scan",
-    "tmle_value",
     "write_csv",
 ]

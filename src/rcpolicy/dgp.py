@@ -422,37 +422,3 @@ def oracle(spec: DgpSpec, kappa_grid: Sequence[float]) -> OracleReport:
         cost_vs_all=cost_vs_all,
         effect_vs_all=effect_vs_all,
     )
-
-
-class OracleOutcomeModel:
-    """The true outcome regression of a DgpSpec, shaped like a fitted model."""
-
-    def __init__(self, spec: DgpSpec):
-        self.spec = spec
-        self.warnings: tuple[str, ...] = ()
-
-    def predict(self, a, w: np.ndarray) -> np.ndarray:
-        return np.clip(self.spec.true_outcome(a, w), 1e-6, 1 - 1e-6)
-
-    def predict_both(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.predict(0, w), self.predict(1, w)
-
-
-class OraclePropensityModel:
-    """The true randomization probability, shaped like a fitted model."""
-
-    def __init__(self, spec: DgpSpec):
-        self.spec = spec
-
-    def predict(self, w: np.ndarray) -> np.ndarray:
-        return np.full(np.atleast_2d(w).shape[0], self.spec.propensity)
-
-
-class OracleBlipModel:
-    """The true blip function, shaped like a fitted model."""
-
-    def __init__(self, spec: DgpSpec):
-        self.spec = spec
-
-    def predict(self, w: np.ndarray) -> np.ndarray:
-        return self.spec.true_blip(w)

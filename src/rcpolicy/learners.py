@@ -39,9 +39,11 @@ __all__ = [
     "SubgroupLevel",
     "SubgroupResult",
     "fit_blip",
+    "fit_blip_to",
     "fit_outcome",
     "fit_propensity",
     "make_pseudo_outcome",
+    "pseudo_outcome",
     "stratified_folds",
     "subgroup_scan",
 ]
@@ -184,6 +186,14 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, tags: Sequence[str | None], y: n
     Stepwise picks among the same columns. Each candidate's fit that did
     not fall back is the start of its next fit: the next training
     split's, and after the last split the full-data refit's.
+
+    A candidate is its fitting algorithm, fallbacks included: its CV
+    risk and weight come from its training-split fits as they came out,
+    fallback or not, and its full-data refit is used as fit. Each
+    fallback is a warning naming its fold, or the full fit.
+
+    Before any fit, every training split must hold a row and, in an
+    outcome stack, both arms; each arm with at least 2 rows suffices.
     """
     from .simplex import simplex_lstsq
 
@@ -191,6 +201,14 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, tags: Sequence[str | None], y: n
         raise ValueError("need n >= folds")
     specs, terms = zip(*_candidates(library, tags))
     fold_id = stratified_folds(ds.a, folds, seed)
+    for v in range(folds):
+        train_a = ds.a[fold_id != v]
+        if train_a.size == 0 or (cls is OutcomeModel and np.unique(train_a).size < 2):
+            raise ValueError(
+                f"too few rows for {folds}-fold stacking: a training split is "
+                f"{'empty' if train_a.size == 0 else 'missing an arm'}; "
+                f"each treatment arm needs at least 2 rows"
+            )
     Z = np.empty((len(y), len(specs)))
     warnings: list[str] = []
     starts: list[np.ndarray | None] = [None] * len(specs)
@@ -325,18 +343,22 @@ def fit_propensity(
 # blip pseudo-outcome and blip regression
 
 
-def make_pseudo_outcome(ds: Dataset, q: OutcomeModel, g: PropensityModel) -> np.ndarray:
-    """Doubly-robust blip transform.
+def pseudo_outcome(a: np.ndarray, y: np.ndarray, q0: np.ndarray, q1: np.ndarray,
+                   g1: np.ndarray) -> np.ndarray:
+    """Doubly-robust blip transform of row predictions.
 
     D_i = (2A_i - 1) / g(A_i|W_i) * (Y_i - E[Y|A_i,W_i]) + E[Y|1,W_i] - E[Y|0,W_i].
     Consistent for the blip if either nuisance is correct; the propensity
     truncation keeps the inverse weight finite.
     """
-    g1 = g.predict(ds.w)
-    g_obs = np.where(ds.a == 1, g1, 1.0 - g1)
-    q0, q1 = q.predict_both(ds.w)
-    sign = 2.0 * ds.a - 1.0
-    return sign / g_obs * (ds.y - np.where(ds.a == 1, q1, q0)) + q1 - q0
+    g_obs = np.where(a == 1, g1, 1.0 - g1)
+    sign = 2.0 * a - 1.0
+    return sign / g_obs * (y - np.where(a == 1, q1, q0)) + q1 - q0
+
+
+def make_pseudo_outcome(ds: Dataset, q: OutcomeModel, g: PropensityModel) -> np.ndarray:
+    """`pseudo_outcome` of q and g predicted on every row of ds."""
+    return pseudo_outcome(ds.a, ds.y, *q.predict_both(ds.w), g.predict(ds.w))
 
 
 class BlipModel(_Stack):
@@ -389,8 +411,14 @@ def fit_blip(
     weights live on the probability simplex, so the ensemble's CV risk
     is never above the best single candidate's.
     """
+    return fit_blip_to(ds, make_pseudo_outcome(ds, q, g), library, folds, seed)
+
+
+def fit_blip_to(ds: Dataset, d: np.ndarray, library: Sequence[str], folds: int,
+                seed: int) -> BlipModel:
+    """`fit_blip` on a pseudo-outcome d already computed for ds's rows."""
     return _fit_stack(BlipModel, ds, _blip_terms(ds.w), (None, *ds.covariate_names),
-                      make_pseudo_outcome(ds, q, g), "gaussian", library, folds, seed)
+                      d, "gaussian", library, folds, seed)
 
 
 # ---------------------------------------------------------------------------

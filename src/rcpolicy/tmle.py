@@ -6,14 +6,12 @@ outcome regression is fluctuated along a least-favorable submodel so the
 efficient-influence-function score is (numerically) solved, then the
 value is the plug-in mean of the fluctuated regression under the rule.
 
-Nuisances are fit by `fit_nuisance`, and every value is computed by
-`value_from_assignment` from a `CvNuisance` and a resolved assignment:
-
-  cv_tmle_value   cross-validated TMLE: nuisances and the rule are fit
-                  per fold on training data, applied to the held-out
-                  fold, and one pooled fluctuation targets the estimate.
-  tmle_value      single-sample TMLE: the supplied q and g form a
-                  one-fold nuisance, and the rule is taken as given.
+Nuisances are fit, and predicted, only by `fit_nuisance`: each model is
+fit on a training mask's rows and predicted once on every row. Every
+value is computed by `value_from_assignment` from a `CvNuisance` and a
+resolved assignment. `cv_tmle_value` is cross-validated TMLE: `fit_folds`
+fits the nuisances and the rule per fold on training rows, applies them
+to the held-out fold, and one pooled fluctuation targets the estimate.
 
 `fit_full` fits every nuisance once on all rows: a one-fold nuisance
 whose budget assignments are the full-data rules `fit-rule` reports.
@@ -33,7 +31,7 @@ the outcome's original scale; internally everything runs on [0, 1].
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,12 +40,10 @@ from .config import Z_975, PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import expit, logit
 from .learners import (
-    BlipModel,
-    OutcomeModel,
-    PropensityModel,
-    fit_blip,
+    fit_blip_to,
     fit_outcome,
     fit_propensity,
+    pseudo_outcome,
     stratified_folds,
 )
 from .rule import (STATIC_ARMS, AtomTable, ThresholdSolution, assign_from_blips, atom_table,
@@ -66,7 +62,6 @@ __all__ = [
     "evaluate_grid",
     "fit_folds",
     "fit_full",
-    "tmle_value",
     "value_from_assignment",
 ]
 
@@ -198,8 +193,8 @@ class CvNuisance:
     `fit_folds` builds each once. val_blip and tables are empty when the
     nuisance was fit without blips; such a nuisance serves static arms
     and policy objects only. A one-fold nuisance (`one_fold`) does no
-    cross-fitting: it holds supplied q and g predicted on every row and,
-    given a blip model, its blips on every row and their one atom table.
+    cross-fitting: it holds given q0, q1 and g1 on every row and, if
+    given, every row's blips and their one atom table.
     The row indices of each fold (fold_rows) and the logits that every
     fluctuation starts from are computed once, on first use. The
     outcome's original bounds are ds.y_scale.
@@ -240,30 +235,40 @@ class CvNuisance:
         return len(self.fold_rows)
 
     @classmethod
-    def one_fold(cls, ds: Dataset, q: OutcomeModel, g: PropensityModel,
-                 config: PipelineConfig | None = None,
-                 blip: BlipModel | None = None) -> "CvNuisance":
-        """q, g and, if given, blip predicted on every row of ds, as one fold."""
+    def one_fold(cls, ds: Dataset, q0: np.ndarray, q1: np.ndarray, g1: np.ndarray,
+                 blips: np.ndarray | None = None, config: PipelineConfig | None = None,
+                 warnings: tuple[str, ...] = ()) -> "CvNuisance":
+        """Row predictions on every row of ds (on its [0, 1] outcome scale)
+        as one fold."""
         ds = scale_outcome(ds)
-        val_blip = np.empty(0) if blip is None else np.asarray(blip.predict(ds.w), dtype=float)
-        return cls(ds=ds, fold_id=np.zeros(ds.n, dtype=int), q0=q.predict(0, ds.w),
-                   q1=q.predict(1, ds.w), g1=g.predict(ds.w), val_blip=val_blip,
-                   tables=() if blip is None else (atom_table(val_blip),),
-                   config=config or PipelineConfig())
+        val_blip = np.empty(0) if blips is None else np.asarray(blips, dtype=float)
+        return cls(ds=ds, fold_id=np.zeros(ds.n, dtype=int), q0=q0, q1=q1, g1=g1,
+                   val_blip=val_blip, tables=() if blips is None else (atom_table(val_blip),),
+                   config=config or PipelineConfig(), warnings=warnings)
 
 
-def fit_nuisance(ds: Dataset, cfg: PipelineConfig, q_seed: int, blip_seed: int | None = None):
-    """Outcome, propensity and (given blip_seed) blip fits on scaled data.
+def fit_nuisance(ds: Dataset, cfg: PipelineConfig, train: np.ndarray, q_seed: int,
+                 blip_seed: int | None = None):
+    """Outcome, propensity and (given blip_seed) blip fits on the rows of
+    scaled ds where the boolean mask `train` holds, each fit predicted
+    once on every row of ds.
 
-    Returns (q, g, blip or None, warnings), the warnings of the three
-    fits in that order.
+    The blip is fit to the pseudo-outcome of the training rows' q and g
+    predictions. Returns (blip, (q0, q1, g1, blips), warnings): the blip
+    fit (None without blip_seed); the row predictions of q in each arm,
+    of g and of the blip (None without blip_seed); and the warnings of
+    the three fits in that order.
     """
-    q = fit_outcome(ds, cfg.outcome_library, cfg.folds, q_seed)
-    g = fit_propensity(ds, cfg.g_known, cfg.g_estimate, cfg.g_min)
+    train_ds = ds.subset(train)
+    q = fit_outcome(train_ds, cfg.outcome_library, cfg.folds, q_seed)
+    g = fit_propensity(train_ds, cfg.g_known, cfg.g_estimate, cfg.g_min)
+    (q0, q1), g1 = q.predict_both(ds.w), g.predict(ds.w)
+    warnings = (*q.warnings, *g.warnings)
     if blip_seed is None:
-        return q, g, None, (*q.warnings, *g.warnings)
-    blip = fit_blip(ds, q, g, cfg.blip_library, cfg.folds, blip_seed)
-    return q, g, blip, (*q.warnings, *g.warnings, *blip.warnings)
+        return None, (q0, q1, g1, None), warnings
+    d = pseudo_outcome(train_ds.a, train_ds.y, q0[train], q1[train], g1[train])
+    blip = fit_blip_to(train_ds, d, cfg.blip_library, cfg.folds, blip_seed)
+    return blip, (q0, q1, g1, blip.predict(ds.w)), (*warnings, *blip.warnings)
 
 
 def fit_folds(
@@ -279,6 +284,9 @@ def fit_folds(
     side); otherwise folds are seeded and stratified by arm. Each fold
     fits its own outcome, propensity and blip models on its training
     rows, so the rule applied to a held-out row was learned without it.
+    Of `fit_nuisance`'s predictions on every row, a fold keeps its
+    validation rows' and builds its atom table from its training rows'
+    blips.
     With blips=False the blip stacks are skipped (the cost side, which
     only ever scores the outcome side's assignments); q and g are
     unchanged, since each blip fit draws from its own seed stream.
@@ -304,21 +312,18 @@ def fit_folds(
     for v in fold_values:
         val = fold_id == v
         train = ~val
-        train_ds = ds.subset(train)
-        if not train_ds.has_both_arms:
+        if np.unique(ds.a[train]).size < 2:
             raise ValueError(
                 f"fold {v}: training split lost a treatment arm; use fewer folds"
             )
         blip_seed = derive_seed(cfg.seed, BLIP_STREAM, v) if blips else None
-        q, g, blip, fit_warnings = fit_nuisance(
-            train_ds, cfg, derive_seed(cfg.seed, Q_STREAM, v), blip_seed
+        _, (fq0, fq1, fg1, fblips), fit_warnings = fit_nuisance(
+            ds, cfg, train, derive_seed(cfg.seed, Q_STREAM, v), blip_seed
         )
-        q0[val] = q.predict(0, ds.w[val])
-        q1[val] = q.predict(1, ds.w[val])
-        g1[val] = g.predict(ds.w[val])
-        if blip is not None:
-            val_blip[val] = blip.predict(ds.w[val])
-            tables.append(atom_table(blip.predict(train_ds.w)))
+        q0[val], q1[val], g1[val] = fq0[val], fq1[val], fg1[val]
+        if blips:
+            val_blip[val] = fblips[val]
+            tables.append(atom_table(fblips[train]))
         warnings.extend(f"fold {v}: {w_msg}" for w_msg in fit_warnings)
 
     return CvNuisance(
@@ -466,39 +471,22 @@ def cv_tmle_value(
     return value_from_assignment(nuisance, assignment_for(nuisance, target))
 
 
-def tmle_value(
-    ds: Dataset,
-    policy,
-    q: OutcomeModel,
-    g: PropensityModel,
-    config: PipelineConfig | None = None,
-) -> ValueEstimate:
-    """Single-sample TMLE of a given policy's value (no cross-fitting).
-
-    q and g are the outcome and propensity models, for instance
-    full-data refits or oracle nuisances in simulations; their
-    predictions on every row form a one-fold nuisance. The policy is
-    taken as given: its threshold is not re-solved here.
-    """
-    nuis = CvNuisance.one_fold(ds, q, g, config)
-    return value_from_assignment(nuis, assignment_for(nuis, policy))
-
-
 def fit_full(ds: Dataset, config: PipelineConfig | None = None):
     """Every nuisance fit once on all of ds, with no cross-fitting.
 
     Returns (blip, nuisance): the blip fit and the one-fold nuisance of
-    all three fits, whose assignment at a budget is the full-data rule
-    there, its threshold solved on the in-sample blips (on the [0, 1]
-    scale). The nuisance's warnings are the fits' own, deduplicated.
+    `fit_nuisance`'s row predictions, whose assignment at a budget is the
+    full-data rule there, its threshold solved on the in-sample blips (on
+    the [0, 1] scale). The nuisance's warnings are the fits' own,
+    deduplicated.
     """
     cfg = config or PipelineConfig()
     ds = scale_outcome(ds)
-    q, g, blip, warnings = fit_nuisance(
-        ds, cfg, derive_seed(cfg.seed, Q_STREAM), derive_seed(cfg.seed, BLIP_STREAM)
+    blip, rows, warnings = fit_nuisance(
+        ds, cfg, np.ones(ds.n, dtype=bool), derive_seed(cfg.seed, Q_STREAM),
+        derive_seed(cfg.seed, BLIP_STREAM)
     )
-    nuis = CvNuisance.one_fold(ds, q, g, cfg, blip)
-    return blip, replace(nuis, warnings=tuple(dict.fromkeys(warnings)))
+    return blip, CvNuisance.one_fold(ds, *rows, cfg, tuple(dict.fromkeys(warnings)))
 
 
 @dataclass(frozen=True)

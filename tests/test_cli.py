@@ -104,6 +104,23 @@ def test_bad_kappa_grid_exits_1_naming_the_flag(command, grid, message, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+# a 2-row training split with one row per arm, dealt into 2 folds, puts both
+# rows in fold 0 and leaves fold 0's inner training split empty
+@pytest.mark.parametrize("outcome_lib, blip_lib", [
+    ("mean,glm", "mean,glm"), ("mean,glm", "step_aic"), ("mean", "step_aic"), ("step_aic", "glm"),
+])
+def test_tiny_n_exits_1_naming_the_rows_per_arm(outcome_lib, blip_lib, tmp_path, capsys):
+    csv = tmp_path / "tiny.csv"
+    csv.write_text("w1,a,y\n0.1,0,1\n0.5,1,0\n0.9,0,0\n0.3,1,1\n0.7,1,1\n")
+    assert main(["evaluate", "--data", str(csv), "--kappa-grid", "0:1:0.5", "--folds", "2",
+                 "--g-known", "0.5", "--outcome-library", outcome_lib,
+                 "--blip-library", blip_lib, "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: too few rows for 2-fold stacking: a training split is empty; "
+                   "each treatment arm needs at least 2 rows\n")
+    assert list(tmp_path.iterdir()) == [csv]
+
+
 def test_kappa_grid_of_10001_points_is_accepted():
     grid = parse_kappa_grid("0:1:0.0001")
     assert len(grid) == 10001 and grid[-1] == 1.0

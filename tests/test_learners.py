@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import OracleOutcomeModel, OraclePropensityModel
 from rcpolicy import (
     Dataset,
     adaptr_like,
@@ -16,7 +17,7 @@ from rcpolicy import (
     stratified_folds,
     subgroup_scan,
 )
-from rcpolicy.dgp import ADAPTR_CELLS, ADAPTR_MASSES, OracleOutcomeModel, OraclePropensityModel
+from rcpolicy.dgp import ADAPTR_CELLS, ADAPTR_MASSES
 from rcpolicy.learners import BlipModel, _candidates
 
 
@@ -289,6 +290,56 @@ def test_outcome_equal_to_treatment_is_fit_by_treatment_alone(monkeypatch):
         picks, q, _ = _stack_run(monkeypatch, ds_a, ("mean", "step_aic"), cold)
         assert picks[:4] == [(1,)] * 4  # three splits and the full fit, outcome stack
         assert q.candidates[1].terms == (0, 1)
+
+
+def test_candidate_falling_back_only_in_cv_is_weighted_by_its_fallbacks(monkeypatch):
+    # glm falls back on every training split but fits all rows cleanly: its
+    # weight and CV risk come from the fallbacks' held-out predictions, and
+    # its full-data refit is the clean fit
+    from rcpolicy import glm
+    from rcpolicy.learners import _outcome_terms
+    from rcpolicy.simplex import simplex_lstsq
+
+    ds = generate(one_interaction(seed=4), 600)
+    fits = []
+    real_fit = glm.fit
+
+    def split_fallback(X, y, family, start=None):
+        if X.shape[1] > 1 and len(y) < ds.n:
+            out = glm._logistic_intercept_fallback(X, y, "singular_design")
+        else:
+            out = real_fit(X, y, family, start)
+        fits.append(out)
+        return out
+
+    monkeypatch.setattr(glm, "fit", split_fallback)
+    q = fit_outcome(ds, ("mean", "glm"), folds=3, seed=5)
+    assert len(fits) == 8  # 2 candidates x (3 splits + the full fit)
+    T = _outcome_terms(ds.a, ds.w)
+    terms = ((0,), tuple(range(T.shape[1])))
+    Z = np.empty((ds.n, 2))
+    fold_id = stratified_folds(ds.a, 3, 5)
+    for v in range(3):
+        val = fold_id == v
+        for j in range(2):
+            Z[val, j] = fits[2 * v + j].predict(T[val][:, terms[j]])
+    assert np.array_equal(q.weights, simplex_lstsq(Z, ds.y))
+    assert np.array_equal(q.cv_risks, np.mean((ds.y[:, None] - Z) ** 2, axis=0))
+    assert q.candidates[1].fit is fits[-1] and q.candidates[1].fit.fallback is None
+    assert np.any(q.candidates[1].fit.coef[1:] != 0.0)
+    assert q.warnings == tuple(f"glm: singular_design (fold {v})" for v in range(3))
+
+
+@pytest.mark.parametrize("a, message", [((0, 1), "empty"), ((0, 1, 1, 1, 1), "missing an arm")])
+def test_outcome_stack_needs_two_rows_per_arm(a, message):
+    n = len(a)
+    ds = _binary_ds(np.arange(n, dtype=float)[:, None], a, [0.0, 1.0, 1.0, 0.0, 1.0][:n])
+    with pytest.raises(ValueError, match=f"2-fold stacking: a training split is {message}; "
+                                         "each treatment arm needs at least 2 rows"):
+        fit_outcome(ds, ("mean",), folds=2, seed=0)
+    if message == "missing an arm":  # a blip stack's splits need rows, not arms
+        b = fit_blip(ds, _StubQ(0.3, 0.7), _StubG(0.5), ("mean",), folds=2, seed=0)
+        assert b.weights.tolist() == [1.0]
 
 
 # --- propensity --------------------------------------------------------------

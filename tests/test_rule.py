@@ -3,11 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import OracleBlipModel, OracleOutcomeModel, OraclePropensityModel, one_fold
 from rcpolicy import (
-    CvNuisance,
-    OracleBlipModel,
-    OracleOutcomeModel,
-    OraclePropensityModel,
     STATIC_ARMS,
     adaptr_like,
     blip_atoms,
@@ -156,8 +153,7 @@ def test_static_policies():
     from rcpolicy.tmle import assignment_for
 
     spec = adaptr_like(seed=5)
-    nuis = CvNuisance.one_fold(generate(spec, 7), OracleOutcomeModel(spec),
-                               OraclePropensityModel(spec))
+    nuis = one_fold(generate(spec, 7), OracleOutcomeModel(spec), OraclePropensityModel(spec))
     assert STATIC_ARMS == ("treat_none", "treat_all")
     for arm, name in enumerate(STATIC_ARMS):
         asg = assignment_for(nuis, name)

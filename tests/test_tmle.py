@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import (OracleBlipModel, OracleOutcomeModel, OraclePropensityModel, one_fold,
+                     single_sample_value)
 from rcpolicy import (
     Dataset,
-    OracleBlipModel,
-    OracleOutcomeModel,
-    OraclePropensityModel,
     PipelineConfig,
     STATIC_ARMS,
     adaptr_like,
@@ -19,12 +18,10 @@ from rcpolicy import (
     fit_folds,
     generate,
     null_effect,
-    tmle_value,
 )
 from rcpolicy.glm import logit
 from rcpolicy.data import scale_outcome
-from rcpolicy.tmle import (CvNuisance, _fluctuate, assignment_for, fit_full,
-                           value_from_assignment)
+from rcpolicy.tmle import _fluctuate, assignment_for, fit_full, value_from_assignment
 
 
 # --- seed derivation ---------------------------------------------------------
@@ -142,16 +139,16 @@ def test_tmle_matches_hand_gcomputation_exactly():
     ds = _two_cell_dataset()
     q, g = _CellMeanQ(), _KnownHalfG()
 
-    est_all = tmle_value(ds, "treat_all", q=q, g=g)
+    est_all = single_sample_value(ds, "treat_all", q=q, g=g)
     assert abs(est_all.epsilon) <= 1e-12
     assert est_all.psi == pytest.approx(0.5 * 0.6 + 0.5 * 0.8, abs=1e-10)
 
-    est_none = tmle_value(ds, "treat_none", q=q, g=g)
+    est_none = single_sample_value(ds, "treat_none", q=q, g=g)
     assert est_none.psi == pytest.approx(0.5 * 0.4 + 0.5 * 0.5, abs=1e-10)
 
     # budget for half the sample: the w=1 cell outbids the w=0 cell
     pol = build_policy(_CellBlip(), ds, 0.5)
-    est_half = tmle_value(ds, pol, q=q, g=g)
+    est_half = single_sample_value(ds, pol, q=q, g=g)
     assert est_half.psi == pytest.approx(0.5 * 0.8 + 0.5 * 0.4, abs=1e-10)
     assert est_half.pct_treated == pytest.approx(0.5, abs=1e-12)
 
@@ -162,7 +159,7 @@ def test_single_and_cv_routes_describe_a_policy_alike(arm, label):
     ds = _two_cell_dataset()
     policy = build_policy(_CellBlip(), ds, 0.5) if arm is None else STATIC_ARMS[arm]
     cfg = PipelineConfig(folds=2, g_known=0.5, outcome_library=("mean",), blip_library=("mean",))
-    single = tmle_value(ds, policy, q=_CellMeanQ(), g=_KnownHalfG())
+    single = single_sample_value(ds, policy, q=_CellMeanQ(), g=_KnownHalfG())
     cv = cv_tmle_value(ds, policy, cfg)
     assert single.label == label
     fields = ("label", "kappa", "pct_treated", "pct_stochastic")
@@ -190,7 +187,7 @@ def test_oracle_nuisance_values_near_truth():
     blip = OracleBlipModel(spec)
     for kappa, truth in ((0.5, 0.726127), (1.0, 0.763957)):
         pol = build_policy(blip, ds, kappa)
-        est = tmle_value(ds, pol, q=q, g=g)
+        est = single_sample_value(ds, pol, q=q, g=g)
         assert abs(est.psi - truth) <= 3 * est.se, (kappa, est.psi, est.se)
 
 
@@ -360,9 +357,35 @@ def test_full_rules_predict_once_and_solve_every_budget_on_one_table(monkeypatch
     assert any(0 < asg.thresholds[0].tau for asg in assignments)
 
 
+def test_each_fitted_nuisance_is_predicted_once_on_every_row(monkeypatch):
+    from rcpolicy.learners import BlipModel, OutcomeModel, PropensityModel
+
+    calls = []
+
+    def counted(cls, name):
+        predict = cls.predict
+
+        def inside(self, *args):
+            calls.append((name, *args[:-1], len(args[-1])))
+            return predict(self, *args)
+        monkeypatch.setattr(cls, "predict", inside)
+
+    for cls, name in ((OutcomeModel, "q"), (PropensityModel, "g"), (BlipModel, "blip")):
+        counted(cls, name)
+    ds = generate(continuous_blip(seed=2), 300)
+    cfg = PipelineConfig(folds=3, g_known=0.5, outcome_library=("mean", "glm"),
+                         blip_library=("mean", "glm"))
+    once = [("q", 0, ds.n), ("q", 1, ds.n), ("g", ds.n), ("blip", ds.n)]
+    fit_folds(ds, cfg)
+    assert calls == once * 3
+    calls.clear()
+    fit_full(ds, cfg)
+    assert calls == once
+
+
 def test_one_fold_nuisance_carries_the_logits(adaptr_2k):
-    nuis = CvNuisance.one_fold(adaptr_2k, OracleOutcomeModel(adaptr_like(seed=11)),
-                               OraclePropensityModel(adaptr_like(seed=11)))
+    nuis = one_fold(adaptr_2k, OracleOutcomeModel(adaptr_like(seed=11)),
+                    OraclePropensityModel(adaptr_like(seed=11)))
     assert nuis.folds == 1 and np.array_equal(nuis.fold_rows[0], np.arange(nuis.n))
     assert np.array_equal(nuis.logit_q1, logit(nuis.q1))
     q_obs = np.where(nuis.ds.a == 1, nuis.q1, nuis.q0)
@@ -374,14 +397,14 @@ def test_one_fold_budget_matches_the_fitted_policy(adaptr_2k):
     row's blips: the rule build_policy fits, scored alike."""
     spec = adaptr_like(seed=11)
     q, g, blip = OracleOutcomeModel(spec), OraclePropensityModel(spec), OracleBlipModel(spec)
-    nuis = CvNuisance.one_fold(adaptr_2k, q, g, blip=blip)
+    nuis = one_fold(adaptr_2k, q, g, blip)
     assert len(nuis.tables) == 1 and np.array_equal(nuis.val_blip, blip.predict(adaptr_2k.w))
     for kappa in (0.3, 0.55, 1.0):
         asg = assignment_for(nuis, kappa)
         pol = build_policy(blip, adaptr_2k, kappa)
         assert asg.thresholds == (pol.threshold,)
         assert np.array_equal(asg.gtilde1, pol.assign(adaptr_2k.w))
-        est, ref = value_from_assignment(nuis, asg), tmle_value(adaptr_2k, pol, q, g)
+        est, ref = value_from_assignment(nuis, asg), single_sample_value(adaptr_2k, pol, q, g)
         assert (est.psi, est.se, est.tau) == (ref.psi, ref.se, ref.tau)
 
 
