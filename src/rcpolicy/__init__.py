@@ -41,7 +41,6 @@ from .learners import (
     fit_blip,
     fit_outcome,
     fit_propensity,
-    make_pseudo_outcome,
     stratified_folds,
     subgroup_scan,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "generate",
     "icer_curve",
     "ingest_csv",
-    "make_pseudo_outcome",
     "msm_with_bootstrap",
     "null_effect",
     "one_interaction",

@@ -5,7 +5,7 @@ plot-data. Every run resolves a single configuration (defaults, then the
 RC_POLICY_SEED environment variable, then a JSON --config overlay, then
 explicit flags), echoes it into an audit block on every artifact, and is
 byte-reproducible: identical inputs, config, and seed produce identical
-files. A command's own keys (`kappa_grid`, `alpha`, `columns`, ...)
+files. A command's own keys (`kappa_grid`, `alpha`, `treatment_col`, ...)
 follow the same precedence, and a JSON null leaves a key unset. Exit
 codes: 0 success, 1 validation error, 2 numerical failure.
 
@@ -174,10 +174,10 @@ def _resolve_config(args) -> PipelineConfig:
     """Defaults < RC_POLICY_SEED < JSON --config < explicit flags.
 
     PipelineConfig fields resolve into the returned config. Every other
-    key a command accepts (its own flags' dests, plus `columns` when it
-    reads --data) is written onto `args` where the flag was not given,
-    and then _DEFAULTS fills what is still unset, so handlers read one
-    namespace. A JSON null leaves a command key unset.
+    key a command accepts (its own flags' dests) is written onto `args`
+    where the flag was not given, and then _DEFAULTS fills what is still
+    unset, so handlers read one namespace. A JSON null leaves a command
+    key unset.
     """
     base: dict = {}
     env_seed = os.environ.get("RC_POLICY_SEED")
@@ -198,8 +198,6 @@ def _resolve_config(args) -> PipelineConfig:
         if not isinstance(loaded, dict):
             raise CliError(f"--config {config_path}: top level must be a JSON object")
         command_keys = set(vars(args)) - {"command", "func", "config"}
-        if "data" in command_keys:
-            command_keys.add("columns")
         for key, val in loaded.items():
             if key in PipelineConfig.field_names():
                 base[key] = val
@@ -269,20 +267,10 @@ def _parse_bounds(text) -> tuple[float, float]:
 def _load_dataset(args, need_cost: bool = False) -> tuple[Dataset, dict]:
     """The --data CSV and the audit context that names it."""
     path = _required(args.data or None, "data")  # an empty path counts as unset
-    columns = getattr(args, "columns", None)
-    if columns is None:
-        columns = {}
-    elif not isinstance(columns, dict):
-        raise CliError("config key 'columns' must be a JSON object")
-
-    def flag_or_column(name: str, key: str):
-        val = getattr(args, name)
-        return columns.get(key) if val is None else val
-
-    treatment = flag_or_column("treatment_col", "treatment") or "a"
-    outcome = flag_or_column("outcome_col", "outcome") or "y"
-    cost = flag_or_column("cost_col", "cost")
-    covs = flag_or_column("covariate_cols", "covariates")
+    treatment = args.treatment_col or "a"
+    outcome = args.outcome_col or "y"
+    cost = args.cost_col
+    covs = args.covariate_cols
     if covs is not None:
         covs = _split_names(covs)
     header = _read_header(path) if cost is None or covs is None else []
@@ -424,7 +412,7 @@ def _cmd_fit_rule(args, cfg: PipelineConfig):
         "covariate_names": list(ds.covariate_names),
         "y_scale": [lo, hi],
         "blip": blip.to_dict(),
-        "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(nuis.val_blip)],
+        "blip_atoms": [{"blip_value": s * v, "count": c} for v, c in blip_atoms(nuis.tables[0])],
         "rules": blocks,
     }
     header = ["row", "blip"] + [f"treat_kappa_{k:g}" for k in kappas]

@@ -38,11 +38,10 @@ __all__ = [
     "PropensityModel",
     "SubgroupLevel",
     "SubgroupResult",
+    "check_training_splits",
     "fit_blip",
-    "fit_blip_to",
     "fit_outcome",
     "fit_propensity",
-    "make_pseudo_outcome",
     "pseudo_outcome",
     "stratified_folds",
     "subgroup_scan",
@@ -77,6 +76,23 @@ def stratified_folds(a: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
         idx = rng.permutation(idx)
         fold[idx] = np.arange(len(idx)) % n_folds
     return fold
+
+
+def check_training_splits(a: np.ndarray, fold_id: np.ndarray, folds: int,
+                          need_arms: bool = True) -> None:
+    """Raise before any fit if a training split of fold_id holds no row
+    or, with need_arms, lacks a treatment arm. On folds dealt by
+    `stratified_folds`, each arm with at least 2 rows suffices; `folds`
+    is the fold count the message names.
+    """
+    for v in np.unique(fold_id):
+        train_a = a[fold_id != v]
+        if train_a.size == 0 or (need_arms and np.unique(train_a).size < 2):
+            raise ValueError(
+                f"too few rows for {folds} folds: a training split is "
+                f"{'empty' if train_a.size == 0 else 'missing an arm'}; "
+                f"each treatment arm needs at least 2 rows"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +208,14 @@ def _fit_stack(cls, ds: Dataset, T: np.ndarray, tags: Sequence[str | None], y: n
     fallback or not, and its full-data refit is used as fit. Each
     fallback is a warning naming its fold, or the full fit.
 
-    Before any fit, every training split must hold a row and, in an
-    outcome stack, both arms; each arm with at least 2 rows suffices.
+    Before any fit, `check_training_splits` checks that every training
+    split holds a row and, in an outcome stack, both arms.
     """
     from .simplex import simplex_lstsq
 
-    if ds.n < folds:
-        raise ValueError("need n >= folds")
     specs, terms = zip(*_candidates(library, tags))
     fold_id = stratified_folds(ds.a, folds, seed)
-    for v in range(folds):
-        train_a = ds.a[fold_id != v]
-        if train_a.size == 0 or (cls is OutcomeModel and np.unique(train_a).size < 2):
-            raise ValueError(
-                f"too few rows for {folds}-fold stacking: a training split is "
-                f"{'empty' if train_a.size == 0 else 'missing an arm'}; "
-                f"each treatment arm needs at least 2 rows"
-            )
+    check_training_splits(ds.a, fold_id, folds, need_arms=cls is OutcomeModel)
     Z = np.empty((len(y), len(specs)))
     warnings: list[str] = []
     starts: list[np.ndarray | None] = [None] * len(specs)
@@ -356,11 +363,6 @@ def pseudo_outcome(a: np.ndarray, y: np.ndarray, q0: np.ndarray, q1: np.ndarray,
     return sign / g_obs * (y - np.where(a == 1, q1, q0)) + q1 - q0
 
 
-def make_pseudo_outcome(ds: Dataset, q: OutcomeModel, g: PropensityModel) -> np.ndarray:
-    """`pseudo_outcome` of q and g predicted on every row of ds."""
-    return pseudo_outcome(ds.a, ds.y, *q.predict_both(ds.w), g.predict(ds.w))
-
-
 class BlipModel(_Stack):
     """Stacked regression of the pseudo-outcome on covariates."""
 
@@ -399,24 +401,18 @@ class BlipModel(_Stack):
 
 def fit_blip(
     ds: Dataset,
-    q: OutcomeModel,
-    g: PropensityModel,
+    d: np.ndarray,
     library: Sequence[str] = ("mean", "glm", "univariate", "step_aic"),
     folds: int = 10,
     seed: int = _SEED_DEFAULT,
 ) -> BlipModel:
-    """Stacked blip regression via the pseudo-outcome.
+    """Stacked blip regression of the pseudo-outcome d (one value per row
+    of ds, e.g. `pseudo_outcome` of fitted q and g) on the covariates.
 
-    Candidates regress D on W with squared-error risk; the metalearner
+    Candidates regress d on W with squared-error risk; the metalearner
     weights live on the probability simplex, so the ensemble's CV risk
     is never above the best single candidate's.
     """
-    return fit_blip_to(ds, make_pseudo_outcome(ds, q, g), library, folds, seed)
-
-
-def fit_blip_to(ds: Dataset, d: np.ndarray, library: Sequence[str], folds: int,
-                seed: int) -> BlipModel:
-    """`fit_blip` on a pseudo-outcome d already computed for ds's rows."""
     return _fit_stack(BlipModel, ds, _blip_terms(ds.w), (None, *ds.covariate_names),
                       d, "gaussian", library, folds, seed)
 

@@ -24,8 +24,9 @@ the sorted rows, the atoms and the mass above each atom. The rule at a
 budget depends on the budget only through the threshold, so a table
 answers every budget; CV-TMLE builds one per fold when it fits the fold's
 nuisances (the full-data rule, one of every row) and `tmle.assignment_for`
-solves each budget on it. `solve_threshold` on raw blips, `blip_atoms`
-and `build_policy` build theirs through the same `atom_table`. Grouping runs in numpy: when no two neighbouring sorted
+solves each budget on it; `blip_atoms` lists a table's atoms.
+`solve_threshold` on raw blips and `build_policy` build theirs through
+the same `atom_table`. Grouping runs in numpy: when no two neighbouring sorted
 blips are within TIE_TOL every row is its own atom, the table keeps the
 rows as its atoms, and nothing loops; otherwise only the runs of
 near-tied rows are walked, one atom per step, and each atom's mass is
@@ -231,13 +232,9 @@ def solve_threshold(
     )
 
 
-def blip_atoms(blips: Sequence[float]) -> list[tuple[float, int]]:
-    """Distinct predicted-blip values with row counts, grouped at TIE_TOL.
-
-    The atoms of the empirical blip distribution, as used for tie
-    handling; suitable for histogram-style summaries of a fitted rule.
-    """
-    table = atom_table(blips)
+def blip_atoms(table: AtomTable) -> list[tuple[float, int]]:
+    """A table's atoms as (value, row count) pairs, for histogram-style
+    summaries of a fitted rule; the table's rows weigh 1/n each."""
     counts = np.rint(table.weights * len(table)).astype(int)
     return [(float(v), int(c)) for v, c in zip(table.values, counts)]
 

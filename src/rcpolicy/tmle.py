@@ -40,7 +40,8 @@ from .config import Z_975, PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import expit, logit
 from .learners import (
-    fit_blip_to,
+    check_training_splits,
+    fit_blip,
     fit_outcome,
     fit_propensity,
     pseudo_outcome,
@@ -267,7 +268,7 @@ def fit_nuisance(ds: Dataset, cfg: PipelineConfig, train: np.ndarray, q_seed: in
     if blip_seed is None:
         return None, (q0, q1, g1, None), warnings
     d = pseudo_outcome(train_ds.a, train_ds.y, q0[train], q1[train], g1[train])
-    blip = fit_blip_to(train_ds, d, cfg.blip_library, cfg.folds, blip_seed)
+    blip = fit_blip(train_ds, d, cfg.blip_library, cfg.folds, blip_seed)
     return blip, (q0, q1, g1, blip.predict(ds.w)), (*warnings, *blip.warnings)
 
 
@@ -281,9 +282,11 @@ def fit_folds(
 
     fold_id can be supplied to reuse an existing split (the cost side of
     a cost-effectiveness analysis must share folds with the outcome
-    side); otherwise folds are seeded and stratified by arm. Each fold
-    fits its own outcome, propensity and blip models on its training
-    rows, so the rule applied to a held-out row was learned without it.
+    side); otherwise folds are seeded and stratified by arm. Before any
+    fit, `check_training_splits` checks that every training split holds
+    both arms. Each fold fits its own outcome, propensity and blip models
+    on its training rows, so the rule applied to a held-out row was
+    learned without it.
     Of `fit_nuisance`'s predictions on every row, a fold keeps its
     validation rows' and builds its atom table from its training rows'
     blips.
@@ -299,6 +302,7 @@ def fit_folds(
         fold_id = np.asarray(fold_id, dtype=int)
         if len(fold_id) != ds.n:
             raise ValueError("fold_id length does not match the dataset")
+    check_training_splits(ds.a, fold_id, cfg.folds)
     fold_values = np.unique(fold_id)
 
     n = ds.n
@@ -312,10 +316,6 @@ def fit_folds(
     for v in fold_values:
         val = fold_id == v
         train = ~val
-        if np.unique(ds.a[train]).size < 2:
-            raise ValueError(
-                f"fold {v}: training split lost a treatment arm; use fewer folds"
-            )
         blip_seed = derive_seed(cfg.seed, BLIP_STREAM, v) if blips else None
         _, (fq0, fq1, fg1, fblips), fit_warnings = fit_nuisance(
             ds, cfg, train, derive_seed(cfg.seed, Q_STREAM, v), blip_seed
@@ -452,22 +452,16 @@ def value_from_assignment(nuis: CvNuisance, asg: Assignment) -> ValueEstimate:
 # public entry points
 
 
-def cv_tmle_value(
-    ds: Dataset,
-    target,
-    config: PipelineConfig | None = None,
-    nuisance: CvNuisance | None = None,
-) -> ValueEstimate:
+def cv_tmle_value(ds: Dataset, target, config: PipelineConfig | None = None) -> ValueEstimate:
     """Cross-validated TMLE of a policy value.
 
     target is a budget kappa in [0, 1] (the constrained rule is then
     learned per fold), a static arm's name or a policy object applied
-    as-is. Pass a pre-computed `nuisance` to amortize fits across many
-    targets.
+    as-is. To value many targets on one set of fold fits, call
+    `value_from_assignment(nuis, assignment_for(nuis, target))` on one
+    `fit_folds` result.
     """
-    cfg = config or PipelineConfig()
-    if nuisance is None:
-        nuisance = fit_folds(ds, cfg)
+    nuisance = fit_folds(ds, config)
     return value_from_assignment(nuisance, assignment_for(nuisance, target))
 
 

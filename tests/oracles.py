@@ -1,8 +1,9 @@
 """Test scaffolding: a DgpSpec's true nuisances, shaped like fitted models,
-and the one-fold nuisance and single-sample value they give."""
+and the pseudo-outcome, one-fold nuisance and single-sample value they give."""
 import numpy as np
 
 from rcpolicy.dgp import DgpSpec
+from rcpolicy.learners import pseudo_outcome
 from rcpolicy.tmle import CvNuisance, assignment_for, value_from_assignment
 
 
@@ -38,6 +39,11 @@ class OracleBlipModel:
 
     def predict(self, w: np.ndarray) -> np.ndarray:
         return self.spec.true_blip(w)
+
+
+def pseudo_outcome_of(ds, q, g) -> np.ndarray:
+    """`pseudo_outcome` of model-like q and g predicted on every row of ds."""
+    return pseudo_outcome(ds.a, ds.y, *q.predict_both(ds.w), g.predict(ds.w))
 
 
 def one_fold(ds, q, g, blip=None) -> CvNuisance:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import pseudo_outcome_of
 from rcpolicy import (
     Dataset,
     PipelineConfig,
@@ -144,7 +145,8 @@ def test_06_budget_feasibility_100_seeds():
         kappa = round(i / 99.0, 6)
         q = fit_outcome(ds, ("mean", "glm"), folds=3, seed=derive_seed(seed, 11))
         g = fit_propensity(ds, known_value=0.5, estimate=False)
-        blip = fit_blip(ds, q, g, ("mean", "glm"), folds=3, seed=derive_seed(seed, 12))
+        blip = fit_blip(ds, pseudo_outcome_of(ds, q, g), ("mean", "glm"), folds=3,
+                        seed=derive_seed(seed, 12))
         pol = build_policy(blip, ds, kappa)
         assert pol.pct_treated <= kappa + 1.0 / n + 1e-9
         if factory is adaptr_like and kappa < 1.0 and np.min(blip.predict(ds.w)) > 0:
@@ -189,7 +191,7 @@ def test_08_score_and_stacking_diagnostics(adaptr_2k, adaptr_20k):
 
     q = fit_outcome(adaptr_2k, DEFAULT_LIBRARY, folds=5, seed=3)
     g = fit_propensity(adaptr_2k, known_value=0.5, estimate=False)
-    blip = fit_blip(adaptr_2k, q, g, DEFAULT_LIBRARY, folds=5, seed=4)
+    blip = fit_blip(adaptr_2k, pseudo_outcome_of(adaptr_2k, q, g), DEFAULT_LIBRARY, folds=5, seed=4)
     stack_ok = True
     for model in (q, blip):
         w = model.weights

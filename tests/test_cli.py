@@ -116,7 +116,7 @@ def test_tiny_n_exits_1_naming_the_rows_per_arm(outcome_lib, blip_lib, tmp_path,
                  "--g-known", "0.5", "--outcome-library", outcome_lib,
                  "--blip-library", blip_lib, "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: too few rows for 2-fold stacking: a training split is empty; "
+    assert err == ("error: too few rows for 2 folds: a training split is empty; "
                    "each treatment arm needs at least 2 rows\n")
     assert list(tmp_path.iterdir()) == [csv]
 
@@ -483,7 +483,7 @@ def test_a_column_in_two_roles_exits_1_writing_nothing(workdir, tmp_path, capsys
 def test_an_empty_covariate_list_exits_1_naming_the_covariates(workdir, tmp_path, capsys, route):
     out = tmp_path / "rule.json"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"columns": {"covariates": []}}))
+    cfg.write_text(json.dumps({"covariate_cols": []}))
     extra = ["--covariate-cols", ""] if route == "flag" else ["--config", str(cfg)]
     assert main(["fit-rule", "--data", workdir["csv"], "--kappa", "0.5", "--out", str(out),
                  *LEAN_FLAGS, *extra]) == 1
@@ -867,7 +867,7 @@ def test_renamed_columns_via_config(tmp_path, capsys):
     rows = ["x1,arm,resp"] + [f"{w[i]},{arm[i]},{resp[i]}" for i in range(120)]
     src.write_text("\n".join(rows) + "\n")
     cfg = tmp_path / "cols.json"
-    cfg.write_text(json.dumps({"columns": {"treatment": "arm", "outcome": "resp"}}))
+    cfg.write_text(json.dumps({"treatment_col": "arm", "outcome_col": "resp"}))
     assert main(["subgroups", "--data", str(src), "--config", str(cfg)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [r["covariate"] for r in doc["results"]] == ["x1"]
@@ -898,7 +898,7 @@ def test_bounded_outcome_flags(tmp_path, capsys):
 # --- one settings namespace ------------------------------------------------------
 
 _DATA_KEYS = {"data", "treatment_col", "outcome_col", "cost_col", "covariate_cols",
-              "outcome_kind", "y_bounds", "columns"}
+              "outcome_kind", "y_bounds"}
 _COMMAND_KEYS = {
     "simulate": {"dgp", "n", "out", "oracle", "kappa_grid", "unit_cost", "cost_noise_sd",
                  "no_cost"},
@@ -926,7 +926,8 @@ def test_every_subcommand_flag_defaults_to_none():
 def test_config_keys_accepted_per_command(tmp_path, command):
     cfg = tmp_path / "cfg.json"
     accepted = set()
-    for key in set().union(*_COMMAND_KEYS.values(), {"no_such_key", "threads"}):
+    # a nested `columns` object is unknown too: the flags' keys name data columns
+    for key in set().union(*_COMMAND_KEYS.values(), {"no_such_key", "threads", "columns"}):
         cfg.write_text(json.dumps({key: None}))
         args = build_parser().parse_args([command, "--config", str(cfg)])
         try:

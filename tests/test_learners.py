@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import OracleOutcomeModel, OraclePropensityModel
+from oracles import OracleOutcomeModel, OraclePropensityModel, pseudo_outcome_of
 from rcpolicy import (
     Dataset,
     adaptr_like,
@@ -11,7 +11,6 @@ from rcpolicy import (
     fit_outcome,
     fit_propensity,
     generate,
-    make_pseudo_outcome,
     null_effect,
     one_interaction,
     stratified_folds,
@@ -153,7 +152,8 @@ def test_no_two_candidates_of_a_stack_share_columns():
     # with one covariate, glm and uni:w1 would fit the same design in every split
     ds = generate(one_interaction(n_covariates=1, seed=3), 400)
     q = fit_outcome(ds, _FULL, folds=5, seed=3)
-    b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), _FULL, folds=5, seed=3)
+    d = pseudo_outcome_of(ds, q, fit_propensity(ds, known_value=0.5))
+    b = fit_blip(ds, d, _FULL, folds=5, seed=3)
     for stack in (q, b):
         assert stack.candidate_names == ("mean", "glm", "step_aic")
         fixed = [c.terms for c in stack.candidates if c.name != "step_aic"]
@@ -227,7 +227,8 @@ def test_rank_deficient_split_warns_per_fit(kind, monkeypatch):
     assert q.warnings == expected
     fold_rows = np.bincount(stratified_folds(ds.a, 3, seed=4), minlength=3)
     assert log and set(log) == {(ds.n - fold_rows[1], True)}
-    b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), library, folds=3, seed=4)
+    d = pseudo_outcome_of(ds, q, fit_propensity(ds, known_value=0.5))
+    b = fit_blip(ds, d, library, folds=3, seed=4)
     assert b.warnings == expected
 
 
@@ -260,7 +261,8 @@ def _stack_run(monkeypatch, ds, library, cold):
         if cold:
             m.setattr(glm, "fit_logistic", no_start)
         q = fit_outcome(ds, library, folds=3, seed=5)
-        b = fit_blip(ds, q, fit_propensity(ds, known_value=0.5), library, folds=3, seed=6)
+        d = pseudo_outcome_of(ds, q, fit_propensity(ds, known_value=0.5))
+        b = fit_blip(ds, d, library, folds=3, seed=6)
     return picks, q, b
 
 
@@ -334,11 +336,12 @@ def test_candidate_falling_back_only_in_cv_is_weighted_by_its_fallbacks(monkeypa
 def test_outcome_stack_needs_two_rows_per_arm(a, message):
     n = len(a)
     ds = _binary_ds(np.arange(n, dtype=float)[:, None], a, [0.0, 1.0, 1.0, 0.0, 1.0][:n])
-    with pytest.raises(ValueError, match=f"2-fold stacking: a training split is {message}; "
+    with pytest.raises(ValueError, match=f"for 2 folds: a training split is {message}; "
                                          "each treatment arm needs at least 2 rows"):
         fit_outcome(ds, ("mean",), folds=2, seed=0)
     if message == "missing an arm":  # a blip stack's splits need rows, not arms
-        b = fit_blip(ds, _StubQ(0.3, 0.7), _StubG(0.5), ("mean",), folds=2, seed=0)
+        d = pseudo_outcome_of(ds, _StubQ(0.3, 0.7), _StubG(0.5))
+        b = fit_blip(ds, d, ("mean",), folds=2, seed=0)
         assert b.weights.tolist() == [1.0]
 
 
@@ -411,7 +414,7 @@ class _StubG:
 def test_pseudo_outcome_no_residual_reduces_to_blip():
     ds = _binary_ds([[0.0], [1.0]], [0, 1], [0.3, 0.7],
                     outcome_kind="bounded_real", y_bounds=(0.0, 1.0))
-    d = make_pseudo_outcome(ds, _StubQ(0.3, 0.7), _StubG(0.5))
+    d = pseudo_outcome_of(ds, _StubQ(0.3, 0.7), _StubG(0.5))
     assert np.allclose(d, 0.4, atol=1e-12)
 
 
@@ -419,14 +422,14 @@ def test_pseudo_outcome_hand_arithmetic():
     # A=1, Y=1, q(1,w)=q(0,w)=0.5, g=0.5 -> D = (1/0.5)*0.5 + 0 = 1.0
     ds = _binary_ds([[0.0], [0.0]], [1, 0], [1.0, 0.5],
                     outcome_kind="bounded_real", y_bounds=(0.0, 1.0))
-    d = make_pseudo_outcome(ds, _StubQ(0.5, 0.5), _StubG(0.5))
+    d = pseudo_outcome_of(ds, _StubQ(0.5, 0.5), _StubG(0.5))
     assert d[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pseudo_outcome_oracle_mean_near_ate():
     spec = adaptr_like(seed=3)
     ds = generate(spec, 20000)
-    d = make_pseudo_outcome(ds, OracleOutcomeModel(spec), OraclePropensityModel(spec))
+    d = pseudo_outcome_of(ds, OracleOutcomeModel(spec), OraclePropensityModel(spec))
     assert abs(d.mean() - 0.098957) <= 0.01
 
 
@@ -436,7 +439,7 @@ def test_pseudo_outcome_double_robustness():
     ds = generate(spec, 20000)
     q = fit_outcome(ds, ("mean",), folds=5, seed=0)  # intercept-only, wrong
     g = OraclePropensityModel(spec)
-    d = make_pseudo_outcome(ds, q, g)
+    d = pseudo_outcome_of(ds, q, g)
     se = d.std() / np.sqrt(ds.n)
     assert abs(d.mean() - 0.098957) <= 3 * se
 
@@ -449,7 +452,7 @@ def test_blip_recovers_cell_values():
     ds = generate(spec, 20000)
     q = fit_outcome(ds, ("glm",), folds=5, seed=4)
     g = fit_propensity(ds, known_value=0.5)
-    b = fit_blip(ds, q, g, ("mean", "glm", "univariate"), folds=5, seed=5)
+    b = fit_blip(ds, pseudo_outcome_of(ds, q, g), ("mean", "glm", "univariate"), folds=5, seed=5)
     cells = np.array(ADAPTR_CELLS, dtype=float)
     assert np.max(np.abs(b.predict(cells) - spec.true_blip(cells))) <= 0.02
 
@@ -460,7 +463,7 @@ def test_blip_constant_truth_prefers_mean():
     ds = generate(constant_blip(blip=0.1, seed=8), 20000)
     q = fit_outcome(ds, ("mean", "glm"), folds=5, seed=6)
     g = fit_propensity(ds, known_value=0.5)
-    b = fit_blip(ds, q, g, ("mean", "glm", "univariate"), folds=5, seed=7)
+    b = fit_blip(ds, pseudo_outcome_of(ds, q, g), ("mean", "glm", "univariate"), folds=5, seed=7)
     names = b.candidate_names
     w_mean = b.weights[names.index("mean")]
     assert w_mean >= b.weights.max() - 1e-12
@@ -470,7 +473,8 @@ def test_blip_constant_truth_prefers_mean():
 def test_blip_weights_on_simplex(adaptr_2k):
     q = fit_outcome(adaptr_2k, ("mean", "glm"), folds=5, seed=8)
     g = fit_propensity(adaptr_2k, known_value=0.5)
-    b = fit_blip(adaptr_2k, q, g, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=9)
+    d = pseudo_outcome_of(adaptr_2k, q, g)
+    b = fit_blip(adaptr_2k, d, ("mean", "glm", "univariate", "step_aic"), folds=5, seed=9)
     assert np.all(b.weights >= -1e-12)
     assert abs(b.weights.sum() - 1.0) <= 1e-10
     assert b.ensemble_cv_risk <= b.cv_risks.min() + 1e-10
@@ -479,7 +483,7 @@ def test_blip_weights_on_simplex(adaptr_2k):
 def test_blip_serialization_round_trip(adaptr_2k):
     q = fit_outcome(adaptr_2k, ("mean", "glm"), folds=5, seed=10)
     g = fit_propensity(adaptr_2k, known_value=0.5)
-    b = fit_blip(adaptr_2k, q, g, ("mean", "glm"), folds=5, seed=11)
+    b = fit_blip(adaptr_2k, pseudo_outcome_of(adaptr_2k, q, g), ("mean", "glm"), folds=5, seed=11)
     back = BlipModel.from_dict(b.to_dict())
     assert np.array_equal(back.predict(adaptr_2k.w), b.predict(adaptr_2k.w))
     assert back.candidate_names == b.candidate_names

@@ -88,7 +88,7 @@ def test_solve_threshold_tie_tolerance_groups_atoms():
 
 
 def test_blip_atoms_counts_and_order():
-    atoms = blip_atoms([0.3, 0.1, 0.1 + 2e-10, 0.2, 0.3])
+    atoms = blip_atoms(atom_table([0.3, 0.1, 0.1 + 2e-10, 0.2, 0.3]))
     values = [v for v, _ in atoms]
     counts = [c for _, c in atoms]
     assert values == sorted(values)

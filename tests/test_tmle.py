@@ -193,8 +193,8 @@ def test_oracle_nuisance_values_near_truth():
 
 def test_contrast_with_self_is_degenerate(adaptr_2k, lean_config):
     nuis = fit_folds(adaptr_2k, lean_config)
-    a = cv_tmle_value(adaptr_2k, 0.5, lean_config, nuisance=nuis)
-    b = cv_tmle_value(adaptr_2k, 0.5, lean_config, nuisance=nuis)
+    a = value_from_assignment(nuis, assignment_for(nuis, 0.5))
+    b = value_from_assignment(nuis, assignment_for(nuis, 0.5))
     res = contrast_estimates(a, b, lean_config.z_value)
     assert res.diff == 0.0
     assert res.se == 0.0
@@ -260,7 +260,7 @@ def test_cv_determinism(adaptr_2k, lean_config):
 
 def test_shared_nuisance_reuse_matches_fresh(adaptr_2k, lean_config):
     nuis = fit_folds(adaptr_2k, lean_config)
-    a = cv_tmle_value(adaptr_2k, 0.6, lean_config, nuisance=nuis)
+    a = value_from_assignment(nuis, assignment_for(nuis, 0.6))
     b = cv_tmle_value(adaptr_2k, 0.6, lean_config)
     assert a.psi == b.psi and a.se == b.se
 
@@ -383,6 +383,42 @@ def test_each_fitted_nuisance_is_predicted_once_on_every_row(monkeypatch):
     assert calls == once
 
 
+def test_every_blip_stack_is_fit_through_learners_fit_blip(monkeypatch):
+    # a layer trace times the blip fits by rebinding each rcpolicy global
+    # that is learners.fit_blip, so a blip stack fit by any other route is
+    # invisible to it
+    import sys
+
+    from rcpolicy import learners
+
+    original, stack = learners.fit_blip, learners._fit_stack
+    calls, stacks = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(len(stacks))
+        return original(*args, **kwargs)
+
+    def logged(cls, *args):
+        stacks.append((cls.__name__, len(calls)))
+        return stack(cls, *args)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("rcpolicy")]:
+        for key, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, key, counted)
+    monkeypatch.setattr(learners, "_fit_stack", logged)
+    ds = generate(continuous_blip(seed=2), 300)
+    cfg = PipelineConfig(folds=3, g_known=0.5, outcome_library=("mean", "glm"),
+                         blip_library=("mean", "glm"))
+    fit_folds(ds, cfg)
+    assert len(calls) == 3
+    fit_full(ds, cfg)
+    assert len(calls) == 4
+    # each blip stack is the one fit_blip call just before it
+    blips = [k for k, (name, _) in enumerate(stacks) if name == "BlipModel"]
+    assert [stacks[k][1] for k in blips] == [1, 2, 3, 4] and calls == blips
+
+
 def test_one_fold_nuisance_carries_the_logits(adaptr_2k):
     nuis = one_fold(adaptr_2k, OracleOutcomeModel(adaptr_like(seed=11)),
                     OraclePropensityModel(adaptr_like(seed=11)))
@@ -434,7 +470,7 @@ def test_training_fold_losing_an_arm_errors():
     # one arm only and report a falsely precise value
     for g in (dict(g_estimate=True), dict(g_known=0.5)):
         cfg = PipelineConfig(folds=2, outcome_library=("mean",), blip_library=("mean",), **g)
-        with pytest.raises(ValueError, match="lost a treatment arm"):
+        with pytest.raises(ValueError, match="a training split is missing an arm"):
             fit_folds(ds, cfg)
 
 
