@@ -719,6 +719,68 @@ def test_validation_errors_exit_1(workdir, capsys, tmp_path):
     assert "max_levels must be an integer" in capsys.readouterr().err
 
 
+_EVAL = ["evaluate", "--data", "d.csv", "--kappa-grid", "0:1:0.5", "--out", "out.json"]
+_RULE = ["fit-rule", "--data", "d.csv", "--out", "out.json"]
+_PLOT = ["plot-data", "--what", "msm", "--out", "out.csv"]
+_SIM = ["simulate", "--n", "20", "--out", "out.csv"]
+# id -> (argv, files written before the run, text the message must hold);
+# "c.json" holds the JSON config of a case that passes --config c.json
+_REFUSALS = {
+    "config_unreadable": ([*_EVAL, "--config", "none.json"], {}, "--config none.json: "),
+    "config_invalid": ([*_EVAL, "--config", "c.json"], {"c.json": "{nope"},
+                       "--config c.json: invalid JSON"),
+    "config_not_object": ([*_EVAL, "--config", "c.json"], {"c.json": "[1, 2]"},
+                          "--config c.json: top level must be a JSON object"),
+    "data_unreadable": ([*_EVAL[:2], "none.csv", *_EVAL[3:]], {}, "--data none.csv: "),
+    "data_empty": ([*_EVAL[:2], "e.csv", *_EVAL[3:]], {"e.csv": ""}, "--data e.csv: empty file"),
+    "data_no_covariates": ([*_EVAL[:2], "ay.csv", *_EVAL[3:]], {"ay.csv": "a,y\n0,1\n1,0\n"},
+                           "--data ay.csv: no covariate columns left"),
+    "y_bounds_one_part": ([*_EVAL, "--y-bounds", "1"], {}, "--y-bounds expects lo:hi"),
+    "y_bounds_text": ([*_EVAL, "--y-bounds", "a:b"], {}, "--y-bounds has a non-numeric part"),
+    "kappa_text": ([*_RULE, "--kappa", "x"], {}, "--kappa expects a number"),
+    "kappa_above_1": ([*_RULE, "--kappa", "1.5"], {}, "kappa 1.5 outside [0, 1]"),
+    "kappa_grid_reversed": ([*_EVAL[:4], "1:0:0.5", *_EVAL[5:]], {},
+                            "--kappa-grid end must be >= start"),
+    "json_outcome_kind": ([*_EVAL, "--config", "c.json"], {"c.json": '{"outcome_kind": "x"}'},
+                          "--outcome-kind must be auto, binary, or bounded_real"),
+    "json_dgp": ([*_SIM, "--config", "c.json"], {"c.json": '{"dgp": "x"}'}, "--dgp must be one of"),
+    "json_comparator": (["icer", *_EVAL[1:], "--config", "c.json"],
+                        {"c.json": '{"comparator": "x"}'}, "--comparator must be"),
+    "json_what": ([_PLOT[0], *_PLOT[3:], "--config", "c.json"], {"c.json": '{"what": "x"}'},
+                  "--what must be one of"),
+    "plot_no_source": (_PLOT, {}, "plot-data --what msm needs --results"),
+    "plot_unreadable": ([*_PLOT, "--results", "none.json"], {}, "--results none.json: "),
+    "plot_invalid": ([*_PLOT, "--results", "r.json"], {"r.json": "{nope"},
+                     "--results r.json: invalid JSON"),
+    "folds_1": ([*_EVAL, "--folds", "1"], {}, "folds must be >= 2"),
+    "empty_library": ([*_EVAL, "--outcome-library", ""], {}, "learner libraries"),
+    "g_known_1.5": ([*_EVAL, "--g-known", "1.5"], {}, "g_known must be in (0, 1)"),
+    "g_min_0.7": ([*_EVAL, "--g-min", "0.7"], {}, "g_min must be in (0, 0.5)"),
+    "ci_level_1.5": ([*_EVAL, "--ci-level", "1.5"], {}, "ci_level must be in (0, 1)"),
+    "json_effect_units": ([*_EVAL, "--config", "c.json"], {"c.json": '{"effect_units": "x"}'},
+                          "effect_units must be"),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", _REFUSALS.values(), ids=list(_REFUSALS))
+def test_a_refused_input_exits_1_naming_it_and_writes_nothing(workdir, tmp_path, monkeypatch,
+                                                               capsys, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_bytes(open(workdir["csv"], "rb").read())
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_from_dict_rejects_an_unknown_key():
+    with pytest.raises(ValueError, match=r"unknown config keys: \['nope'\]"):
+        PipelineConfig.from_dict({"folds": 3, "nope": 1})
+
+
 @pytest.mark.parametrize("command, grid", [("fit-rule", "--kappa"), ("evaluate", "--kappa-grid"),
                                            ("msm", "--kappa-grid")])
 def test_no_g_estimate_without_g_known_exits_1_before_any_fit(workdir, monkeypatch, capsys,
