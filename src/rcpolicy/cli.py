@@ -32,18 +32,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, config_hash, require_int
+from .config import PipelineConfig, config_hash, require_int, split_names
 from .data import ColumnSchema, Dataset, ingest_csv, write_csv, write_rows
-from .dgp import (
-    DGP_KINDS,
-    adaptr_like,
-    constant_blip,
-    continuous_blip,
-    generate,
-    null_effect,
-    one_interaction,
-    oracle,
-)
+from .dgp import DGP_KINDS, generate, oracle
 from .icer import icer_curve, ratio
 from .learners import subgroup_scan
 from .msm import msm_with_bootstrap
@@ -51,14 +42,6 @@ from .rule import STATIC_ARMS, blip_atoms
 from .tmle import assignment_for, contrast_estimates, evaluate_grid, fit_full
 
 __all__ = ["main", "build_parser", "CliError"]
-
-_DGP_FACTORIES = {
-    "adaptr_like": adaptr_like,
-    "constant_blip": constant_blip,
-    "continuous_blip": continuous_blip,
-    "null_effect": null_effect,
-    "one_interaction": one_interaction,
-}
 
 _MAX_KAPPAS = 10_001  # a budget grid's points, 0:1:0.0001 at most
 
@@ -86,8 +69,6 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -162,12 +143,15 @@ def _parse_kappa_arg(text: str) -> tuple[list[float], bool]:
     return parse_kappa_grid(text), False
 
 
-def _split_names(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-    else:
-        parts = [str(p) for p in value]
-    return tuple(p for p in parts if p)
+def _read_json(path: str, flag: str):
+    """The JSON document at `path`, named by option `--flag`."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"--{flag} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CliError(f"--{flag} {path}: invalid JSON ({exc})") from None
 
 
 def _resolve_config(args) -> PipelineConfig:
@@ -188,13 +172,7 @@ def _resolve_config(args) -> PipelineConfig:
             raise CliError(f"RC_POLICY_SEED must be an integer, got {env_seed!r}") from None
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"--config {config_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--config {config_path}: invalid JSON ({exc})") from None
+        loaded = _read_json(config_path, "config")
         if not isinstance(loaded, dict):
             raise CliError(f"--config {config_path}: top level must be a JSON object")
         command_keys = set(vars(args)) - {"command", "func", "config"}
@@ -212,9 +190,6 @@ def _resolve_config(args) -> PipelineConfig:
         val = getattr(args, field, None)
         if val is not None:
             base[field] = val
-    for key in ("outcome_library", "blip_library"):
-        if key in base:
-            base[key] = _split_names(base[key])
     try:
         return PipelineConfig.from_dict(base)
     except (ValueError, TypeError) as exc:
@@ -272,7 +247,7 @@ def _load_dataset(args, need_cost: bool = False) -> tuple[Dataset, dict]:
     cost = args.cost_col
     covs = args.covariate_cols
     if covs is not None:
-        covs = _split_names(covs)
+        covs = split_names(covs)
     header = _read_header(path) if cost is None or covs is None else []
     if cost is None and "c" in header and (covs is None or "c" not in covs):
         cost = "c"  # package CSV convention, like the a/y defaults
@@ -344,13 +319,13 @@ def _project(what: str, records: list[dict]) -> tuple[list[str], list[list]]:
 
 def _cmd_simulate(args, cfg: PipelineConfig):
     kind = args.dgp
-    if kind not in _DGP_FACTORIES:
+    if kind not in DGP_KINDS:
         raise CliError(f"--dgp must be one of {', '.join(DGP_KINDS)}")
     n = require_int("n", _required(args.n, "n"))
     out = _required(args.out or None, "out")  # an empty path counts as unset
     with_cost = not bool(args.no_cost)
     grid = parse_kappa_grid(str(args.kappa_grid))
-    spec = _DGP_FACTORIES[kind](seed=cfg.seed, with_cost=with_cost)
+    spec = DGP_KINDS[kind](seed=cfg.seed, with_cost=with_cost)
     if args.unit_cost is not None:
         spec = replace(spec, unit_cost=float(args.unit_cost))
     if args.cost_noise_sd is not None:
@@ -473,7 +448,6 @@ def _cmd_evaluate(args, cfg: PipelineConfig):
 def _cmd_msm(args, cfg: PipelineConfig):
     kappas, ds, context = _grid_setup(args)
     fit = msm_with_bootstrap(ds, kappas, cfg)
-    ci = fit.boot_ci or {}
     plot_rows = [
         {"kappa": k, "value": v, "fitted": f, "chord": ch}
         for k, v, f, ch in fit.plot_rows()
@@ -483,7 +457,7 @@ def _cmd_msm(args, cfg: PipelineConfig):
         "beta1": fit.beta1,
         "chord": {"intercept": fit.chord[0], "slope": fit.chord[1]},
         "contrasts": {"contrast0": fit.contrast[0], "contrast1": fit.contrast[1]},
-        "ci": {key: [lo, hi] for key, (lo, hi) in ci.items()},
+        "ci": {key: [lo, hi] for key, (lo, hi) in fit.boot_ci.items()},
         "mode": cfg.bootstrap_mode,
         "replicates": fit.boot_replicates,
         "resample_redraws": fit.boot_redraws,
@@ -502,7 +476,7 @@ def _cmd_icer(args, cfg: PipelineConfig):
         raise CliError("--comparator must be treat-none or treat-all")
     context["comparator"] = comparator
     curve = icer_curve(ds, kappas, comparator=comparator, config=cfg)
-    den_key = "denominator_pp" if curve.estimates[0].effect_units == "pp" else "denominator"
+    den_key = "denominator_pp" if curve.effect_units == "pp" else "denominator"
     rows = []
     for e in curve.estimates:
         rows.append({
@@ -515,10 +489,8 @@ def _cmd_icer(args, cfg: PipelineConfig):
             "ci_hi": None if e.ci is None else e.ci[1],
             "unstable": e.unstable,
         })
-    plane = [
-        {den_key: float(d), "numerator": float(nu), "kappa": float(k)}
-        for d, nu, k in curve.plane_points()
-    ]
+    plane = [{den_key: e.denominator, "numerator": e.numerator, "kappa": e.kappa}
+             for e in curve.estimates]
     payload = {
         "comparator": comparator,
         "rows": rows,
@@ -556,13 +528,7 @@ def _cmd_plot_data(args, cfg: PipelineConfig):
     source = getattr(args, flag)
     if not source:
         raise CliError(f"plot-data --what {what} needs --{flag} <file.json>")
-    try:
-        with open(source) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"--{flag} {source}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"--{flag} {source}: invalid JSON ({exc})") from None
+    doc = _read_json(source, flag)
     if not isinstance(doc, dict) or key not in doc:
         producer = {"grid": "evaluate", "plot_rows": "msm", "blip_atoms": "fit-rule --save-model",
                     "plane": "icer"}[key]

@@ -28,8 +28,15 @@ def require_int(name: str, value) -> int:
     return int(value)
 
 
+def split_names(value) -> tuple[str, ...]:
+    """The stripped, non-blank names of a comma-separated string or a sequence."""
+    parts = value.split(",") if isinstance(value, str) else value
+    return tuple(name for name in (str(p).strip() for p in parts) if name)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    # a library may be given as a comma-separated string or a sequence of names
     outcome_library: tuple[str, ...] = DEFAULT_LIBRARY
     blip_library: tuple[str, ...] = DEFAULT_LIBRARY
     folds: int = 10
@@ -44,6 +51,8 @@ class PipelineConfig:
     bootstrap_mode: str = "refit"  # the one mode; kept so `--mode refit` and JSON keys load
 
     def __post_init__(self):
+        for name in ("outcome_library", "blip_library"):
+            object.__setattr__(self, name, split_names(getattr(self, name)))
         for name in ("folds", "seed", "bootstrap_replicates"):
             require_int(name, getattr(self, name))
         if self.folds < 2:
@@ -93,10 +102,6 @@ class PipelineConfig:
         unknown = set(d) - cls.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("outcome_library", "blip_library"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 

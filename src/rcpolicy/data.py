@@ -45,9 +45,9 @@ class ColumnSchema:
     y_bounds: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Columnar point-treatment data.
+    """Columnar point-treatment data. Datasets compare by identity.
 
     y_bounds always brackets y. y_scale, when set, holds the original
     outcome bounds that y was affinely mapped from (lo, hi); None means
@@ -111,25 +111,6 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         c = None if self.c is None else self.c[idx]
         return replace(self, w=self.w[idx], a=self.a[idx], y=self.y[idx], c=c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        same_c = (self.c is None and other.c is None) or (
-            self.c is not None and other.c is not None and np.array_equal(self.c, other.c)
-        )
-        return (
-            np.array_equal(self.w, other.w)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.y, other.y)
-            and same_c
-            and self.covariate_names == other.covariate_names
-            and self.outcome_kind == other.outcome_kind
-            and self.y_bounds == other.y_bounds
-            and self.y_scale == other.y_scale
-        )
-
-    __hash__ = None
 
 
 def ingest_csv(path, schema: ColumnSchema) -> Dataset:

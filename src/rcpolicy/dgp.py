@@ -33,8 +33,6 @@ __all__ = [
     "oracle",
 ]
 
-DGP_KINDS = ("adaptr_like", "constant_blip", "continuous_blip", "null_effect", "one_interaction")
-
 # Calibration table for the adaptr_like process: cell mass, blip, and the
 # binary covariate encoding (wage work, self-employed, walk > 5km).
 # Masses sum to 0.9999 as published and are renormalized at build time.
@@ -256,6 +254,16 @@ def continuous_blip(
         with_cost=with_cost,
         seed=seed,
     )
+
+
+# every generating process by name; a DgpSpec's kind is one of the names
+DGP_KINDS = {
+    "adaptr_like": adaptr_like,
+    "constant_blip": constant_blip,
+    "continuous_blip": continuous_blip,
+    "null_effect": null_effect,
+    "one_interaction": one_interaction,
+}
 
 
 def generate(spec: DgpSpec, n: int) -> Dataset:

@@ -43,40 +43,34 @@ class IcerEstimate:
     """One incremental cost-effectiveness comparison.
 
     numerator is the incremental cost in original currency units;
-    denominator the incremental effectiveness (percentage points when
-    effect_units == "pp"). When unstable is True the denominator was
-    within the epsilon guard of zero: ratio is NaN and se/ci are None.
+    denominator the incremental effectiveness, in the curve's
+    effect_units. When unstable is True the denominator was within the
+    epsilon guard of zero: ratio is NaN and se/ci are None.
     """
 
-    kappa: float | None
-    label: str
-    comparator: str
+    kappa: float
     numerator: float
     denominator: float
     ratio: float
     se: float | None
     ci: tuple[float, float] | None
     unstable: bool
-    effect_units: str
-    n: int
 
 
 @dataclass(frozen=True)
 class IcerCurve:
     """Per-budget ICER estimates against one static comparator.
 
-    warnings holds, deduplicated, those of the outcome-side values that
+    effect_units is "pp" when denominators are in percentage points, else
+    "outcome" (outcome units). warnings holds, deduplicated, those of the outcome-side values that
     were scored, then the cost-side ones prefixed "cost: ", then a note
     when the cost column is constant.
     """
 
     comparator: str
+    effect_units: str
     estimates: tuple[IcerEstimate, ...]
     warnings: tuple[str, ...] = ()
-
-    def plane_points(self) -> list[tuple[float, float, float | None]]:
-        """(denominator, numerator, kappa) triples for CE-plane plots."""
-        return [(e.denominator, e.numerator, e.kappa) for e in self.estimates]
 
 
 def icer_curve(
@@ -96,7 +90,6 @@ def icer_curve(
     if comparator not in STATIC_ARMS:
         raise ValueError(f"comparator must be one of {STATIC_ARMS}")
     nuis_y = fit_folds(ds, cfg)
-    n = nuis_y.n
     lo_c, hi_c = float(np.min(ds.c)), float(np.max(ds.c))
     nuis_c = None  # constant costs need no cost-side fits
     if hi_c > lo_c:
@@ -148,23 +141,19 @@ def icer_curve(
             ic_den = 100.0 * ic_eff if pp else ic_eff
             r = numerator / denominator
             ic = (ic_num - r * ic_den) / denominator
-            se = float(np.std(ic) / np.sqrt(n))
+            se = float(np.std(ic) / np.sqrt(nuis_y.n))
             ci = (float(r) - z * se, float(r) + z * se)
         estimates.append(IcerEstimate(
             kappa=float(k),
-            label=asg.label,
-            comparator=comparator,
             numerator=numerator,
             denominator=denominator,
             ratio=float(r),
             se=se,
             ci=ci,
             unstable=unstable,
-            effect_units="pp" if pp else "outcome",
-            n=n,
         ))
     warnings = [*eff_warnings, *(f"cost: {w}" for w in cost_warnings)]
     if nuis_c is None:
         warnings.append("constant cost column: cost value is degenerate")
-    return IcerCurve(comparator=comparator, estimates=tuple(estimates),
-                     warnings=tuple(dict.fromkeys(warnings)))
+    return IcerCurve(comparator=comparator, effect_units="pp" if pp else "outcome",
+                     estimates=tuple(estimates), warnings=tuple(dict.fromkeys(warnings)))

@@ -16,7 +16,7 @@ so the intervals carry the rule's selection as well as its value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,13 +180,8 @@ def msm_with_bootstrap(
         key: tuple(float(q) for q in np.quantile(draws[key], [alpha, 1.0 - alpha]))
         for key in BOOT_KEYS
     }
-    return MsmFit(
-        kappas=point.kappas,
-        values=point.values,
-        beta0=point.beta0,
-        beta1=point.beta1,
-        chord=point.chord,
-        contrast=point.contrast,
+    return replace(
+        point,
         boot_ci=boot_ci,
         boot_replicates=reps,
         boot_redraws=redraws,

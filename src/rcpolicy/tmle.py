@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Z_975, PipelineConfig
+from .config import PipelineConfig
 from .data import Dataset, scale_outcome
 from .glm import expit, logit
 from .learners import (
@@ -149,14 +149,12 @@ class ContrastResult:
 
     label_a: str
     label_b: str
-    psi_a: float
-    psi_b: float
     diff: float
     se: float
     ci: tuple[float, float]
 
 
-def contrast_estimates(a: ValueEstimate, b: ValueEstimate, z: float | None = None) -> ContrastResult:
+def contrast_estimates(a: ValueEstimate, b: ValueEstimate, z: float) -> ContrastResult:
     """a minus b, with the variance of the differenced influence function.
 
     Both estimates must come from the same sample (row-aligned influence
@@ -164,15 +162,12 @@ def contrast_estimates(a: ValueEstimate, b: ValueEstimate, z: float | None = Non
     """
     if a.n != b.n:
         raise ValueError("contrast needs estimates from the same sample")
-    z = Z_975 if z is None else z
     d = a.eif - b.eif
     diff = a.psi - b.psi
     se = float(np.sqrt(np.mean(d * d) / a.n))
     return ContrastResult(
         label_a=a.label,
         label_b=b.label,
-        psi_a=a.psi,
-        psi_b=b.psi,
         diff=diff,
         se=se,
         ci=(diff - z * se, diff + z * se),

@@ -11,8 +11,8 @@ import pytest
 from rcpolicy.cli import CliError, _resolve_config, build_parser, main, parse_kappa_grid
 from rcpolicy.config import PipelineConfig, config_hash
 from rcpolicy.data import ColumnSchema, ingest_csv, scale_outcome
-from rcpolicy.dgp import adaptr_like, oracle
-from rcpolicy.tmle import assignment_for, fit_full
+from rcpolicy.dgp import adaptr_like, generate, oracle
+from rcpolicy.tmle import assignment_for, cv_tmle_value, fit_full
 
 LEAN_FLAGS = ["--folds", "3", "--g-known", "0.5",
               "--outcome-library", "mean,glm", "--blip-library", "mean,glm"]
@@ -804,6 +804,17 @@ def test_config_rejects_g_estimate_false_without_g_known():
     with pytest.raises(ValueError, match="g_known"):
         PipelineConfig(g_known=0.5).replace(g_estimate=False, g_known=None)
     assert PipelineConfig(g_estimate=False, g_known=0.5).g_known == 0.5
+
+
+@pytest.mark.parametrize("names", [" mean , glm", ["mean", " glm "], ("mean", "glm")])
+def test_config_libraries_load_as_a_tuple_of_names(names):
+    # a string library once stayed a string, and the stack read "glm" as
+    # the learners g, l and m
+    cfg = PipelineConfig(outcome_library=names, blip_library=names)
+    assert cfg.outcome_library == cfg.blip_library == ("mean", "glm")
+    assert PipelineConfig.from_dict({"blip_library": names}).blip_library == ("mean", "glm")
+    ds = generate(adaptr_like(seed=2), 200)
+    assert cv_tmle_value(ds, 0.5, cfg.replace(folds=3, g_known=0.5)).n == 200
 
 
 # a negative or NaN epsilon_den would never flag a zero ICER denominator

@@ -101,7 +101,7 @@ def test_round_trip_is_identity(tmp_path):
     p2 = tmp_path / "b.csv"
     write_csv(ds, p1)
     back = ingest_csv(str(p1), ColumnSchema("a", "y", ds.covariate_names, cost="c"))
-    assert back == ds
+    np.testing.assert_equal(vars(back), vars(ds))
     write_csv(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 

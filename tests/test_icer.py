@@ -29,12 +29,13 @@ def test_ratio_edge_cases():
 
 
 def test_icer_unconstrained_vs_none_near_oracle(adaptr_20k):
-    est = icer_curve(adaptr_20k, [1.0], "treat_none", LEAN).estimates[0]
-    assert est.effect_units == "pp"
+    curve = icer_curve(adaptr_20k, [1.0], "treat_none", LEAN)
+    est = curve.estimates[0]
+    assert curve.effect_units == "pp"
     assert not est.unstable
     assert abs(est.ratio - 5.3154) <= 3 * est.se
     assert est.ci[0] <= 5.3154 <= est.ci[1]
-    assert est.comparator == "treat_none"
+    assert curve.comparator == "treat_none"
     assert est.kappa == 1.0
 
 
@@ -87,9 +88,7 @@ def test_icer_curve_monotone_cost(adaptr_20k):
     curve = icer_curve(adaptr_20k, (0.2, 0.5, 0.9), "treat_none", LEAN)
     nums = [e.numerator for e in curve.estimates]
     assert nums[0] < nums[1] < nums[2]
-    plane = curve.plane_points()
-    assert len(plane) == 3
-    assert plane[0] == (curve.estimates[0].denominator, curve.estimates[0].numerator, 0.2)
+    assert [e.kappa for e in curve.estimates] == [0.2, 0.5, 0.9]
 
 
 def test_icer_cost_rescaling_equivariance(adaptr_2k):
@@ -140,9 +139,10 @@ def test_icer_influence_mean_tracks_penalties(adaptr_20k, sides_20k):
 
 def test_icer_effect_unit_switch(adaptr_2k):
     pp = icer_curve(adaptr_2k, [0.5], "treat_none", LEAN).estimates[0]
-    prob = icer_curve(adaptr_2k, [0.5], "treat_none",
-                      LEAN.replace(effect_units="probability")).estimates[0]
-    assert prob.effect_units == "outcome"
+    prob_curve = icer_curve(adaptr_2k, [0.5], "treat_none",
+                            LEAN.replace(effect_units="probability"))
+    prob = prob_curve.estimates[0]
+    assert prob_curve.effect_units == "outcome"
     assert prob.denominator == pytest.approx(pp.denominator / 100.0, rel=1e-12)
     assert prob.ratio == pytest.approx(pp.ratio * 100.0, rel=1e-12)
     assert prob.se == pytest.approx(pp.se * 100.0, rel=1e-12)
