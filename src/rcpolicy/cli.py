@@ -32,7 +32,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, config_hash, require_int, split_names
+from .config import PipelineConfig, config_hash, require_int, require_real, split_names
 from .data import ColumnSchema, Dataset, ingest_csv, write_csv, write_rows
 from .dgp import DGP_KINDS, generate, oracle
 from .icer import icer_curve, ratio
@@ -224,16 +224,15 @@ def _read_header(path: str) -> list[str]:
     return row
 
 
-def _parse_bounds(text) -> tuple[float, float]:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return float(text[0]), float(text[1])
-    parts = str(text).split(":")
+def _parse_bounds(value) -> tuple[float, float]:
+    """lo:hi text, or a JSON [lo, hi] list, with lo < hi."""
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(":")
     if len(parts) != 2:
-        raise CliError(f"--y-bounds expects lo:hi, got {text!r}")
+        raise CliError(f"--y-bounds expects lo:hi, got {value!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise CliError(f"--y-bounds has a non-numeric part: {text!r}") from None
+    except (TypeError, ValueError):
+        raise CliError(f"--y-bounds has a non-numeric part: {value!r}") from None
     if hi <= lo:
         raise CliError("--y-bounds upper bound must exceed the lower bound")
     return lo, hi
@@ -323,13 +322,15 @@ def _cmd_simulate(args, cfg: PipelineConfig):
         raise CliError(f"--dgp must be one of {', '.join(DGP_KINDS)}")
     n = require_int("n", _required(args.n, "n"))
     out = _required(args.out or None, "out")  # an empty path counts as unset
-    with_cost = not bool(args.no_cost)
+    if not isinstance(args.no_cost, bool):
+        raise CliError(f"no_cost must be true or false, got {args.no_cost!r}")
+    with_cost = not args.no_cost
     grid = parse_kappa_grid(str(args.kappa_grid))
     spec = DGP_KINDS[kind](seed=cfg.seed, with_cost=with_cost)
     if args.unit_cost is not None:
-        spec = replace(spec, unit_cost=float(args.unit_cost))
+        spec = replace(spec, unit_cost=require_real("unit_cost", args.unit_cost))
     if args.cost_noise_sd is not None:
-        spec = replace(spec, cost_noise_sd=float(args.cost_noise_sd))
+        spec = replace(spec, cost_noise_sd=require_real("cost_noise_sd", args.cost_noise_sd))
     ds = generate(spec, n)
     header = write_csv(ds, out)
     context = {"command": "simulate", "dgp": kind, "n": n, "out": out, "with_cost": with_cost,
@@ -502,7 +503,7 @@ def _cmd_icer(args, cfg: PipelineConfig):
 
 
 def _cmd_subgroups(args, cfg: PipelineConfig):
-    alpha = float(args.alpha)
+    alpha = require_real("alpha", args.alpha)
     max_levels = require_int("max_levels", args.max_levels)
     ds, context = _load_dataset(args)
     context["alpha"] = alpha

@@ -28,6 +28,14 @@ def require_int(name: str, value) -> int:
     return int(value)
 
 
+def require_real(name: str, value) -> float:
+    """value as a float if it is a real number (bools are not), else a
+    ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def split_names(value) -> tuple[str, ...]:
     """The stripped, non-blank names of a comma-separated string or a sequence."""
     parts = value.split(",") if isinstance(value, str) else value
@@ -55,6 +63,12 @@ class PipelineConfig:
             object.__setattr__(self, name, split_names(getattr(self, name)))
         for name in ("folds", "seed", "bootstrap_replicates"):
             require_int(name, getattr(self, name))
+        for name in ("g_min", "ci_level", "epsilon_den"):
+            require_real(name, getattr(self, name))
+        if self.g_known is not None:
+            require_real("g_known", self.g_known)
+        if self.g_estimate is not None and not isinstance(self.g_estimate, bool):
+            raise ValueError(f"g_estimate must be true, false or null, got {self.g_estimate!r}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.seed < 0:

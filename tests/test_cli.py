@@ -760,9 +760,30 @@ _REFUSALS = {
     "json_effect_units": ([*_EVAL, "--config", "c.json"], {"c.json": '{"effect_units": "x"}'},
                           "effect_units must be"),
 }
+# JSON values of the wrong type, which ran on or failed without naming the key
+_WRONG_TYPES = {
+    f"json_{key}_{value!r}": (argv + ["--config", "c.json"], {"c.json": json.dumps({key: value})},
+                              message)
+    for argv, key, value, message in [
+        (_EVAL, "g_estimate", "false", "g_estimate must be true, false or null, got 'false'"),
+        (_EVAL, "g_estimate", 0, "g_estimate must be true, false or null, got 0"),
+        (_EVAL, "epsilon_den", True, "epsilon_den must be a number, got True"),
+        (_EVAL, "ci_level", "0.9", "ci_level must be a number, got '0.9'"),
+        (_EVAL, "g_known", "0.5", "g_known must be a number, got '0.5'"),
+        (_EVAL, "g_min", False, "g_min must be a number, got False"),
+        (_SIM + ["--dgp", "null_effect"], "no_cost", "false",
+         "no_cost must be true or false, got 'false'"),
+        (_SIM + ["--dgp", "adaptr_like"], "unit_cost", True, "unit_cost must be a number"),
+        (_SIM + ["--dgp", "adaptr_like"], "cost_noise_sd", "1", "cost_noise_sd must be a number"),
+        (["subgroups", *_EVAL[1:3], *_EVAL[5:]], "alpha", "0.2", "alpha must be a number"),
+        (_EVAL, "y_bounds", ["a", 1], "--y-bounds has a non-numeric part: ['a', 1]"),
+        (_EVAL, "y_bounds", [3, 1], "--y-bounds upper bound must exceed the lower bound"),
+    ]
+}
 
 
-@pytest.mark.parametrize("argv, files, message", _REFUSALS.values(), ids=list(_REFUSALS))
+@pytest.mark.parametrize("argv, files, message", [*_REFUSALS.values(), *_WRONG_TYPES.values()],
+                         ids=[*_REFUSALS, *_WRONG_TYPES])
 def test_a_refused_input_exits_1_naming_it_and_writes_nothing(workdir, tmp_path, monkeypatch,
                                                                capsys, argv, files, message):
     monkeypatch.chdir(tmp_path)
