@@ -139,14 +139,12 @@ class DgpSpec:
         return self.baselines[idx] + a * self.blips[idx]
 
     def _cell_index(self, w: np.ndarray) -> np.ndarray:
+        """Each row's first cell within 1e-9 in every covariate."""
         cells = np.asarray(self.cell_covariates, dtype=float)
-        idx = np.empty(w.shape[0], dtype=int)
-        for i, row in enumerate(w):
-            match = np.flatnonzero(np.all(np.abs(cells - row) < 1e-9, axis=1))
-            if match.size == 0:
-                raise ValueError("covariate row does not match any dgp cell")
-            idx[i] = match[0]
-        return idx
+        match = np.all(np.abs(w[:, None, :] - cells) < 1e-9, axis=2)  # rows x cells
+        if not match.any(axis=1).all():
+            raise ValueError("covariate row does not match any dgp cell")
+        return match.argmax(axis=1)
 
 
 def adaptr_like(

@@ -3,6 +3,7 @@ import pytest
 
 from rcpolicy import (
     DGP_KINDS,
+    DgpSpec,
     adaptr_like,
     constant_blip,
     continuous_blip,
@@ -155,6 +156,40 @@ def test_oracle_models_match_spec_truth():
                        ADAPTR_BLIPS, atol=1e-12)
     assert spec.propensity == 0.5
     assert np.allclose(spec.true_blip(cells), ADAPTR_BLIPS, atol=1e-12)
+
+
+def _cell_index_by_row(spec, w):
+    """Reference rule, one row at a time: the first cell within 1e-9."""
+    cells = np.asarray(spec.cell_covariates, dtype=float)
+    idx = np.empty(w.shape[0], dtype=int)
+    for i, row in enumerate(w):
+        match = np.flatnonzero(np.all(np.abs(cells - row) < 1e-9, axis=1))
+        if match.size == 0:
+            raise ValueError("covariate row does not match any dgp cell")
+        idx[i] = match[0]
+    return idx
+
+
+@pytest.mark.parametrize("spec", [
+    adaptr_like(), one_interaction(), null_effect(n_covariates=2),
+    # duplicate cells: the first one wins
+    DgpSpec(kind="constant_blip", covariate_names=("w1",), cell_masses=(1.0, 1.0, 1.0),
+            cell_blips=(0.1, 0.2, 0.3), cell_baselines=(0.5,) * 3,
+            cell_covariates=((0.0,), (1.0,), (0.0,))),
+], ids=["adaptr_like", "one_interaction", "null_effect", "duplicate_cells"])
+def test_cell_index_matches_the_per_row_rule(spec):
+    rng = np.random.default_rng(4)
+    cells = np.asarray(spec.cell_covariates, dtype=float)
+    # off by 9e-10 a row still matches its cell; off by 2e-9 it matches none
+    noise = rng.choice([0.0, 9e-10, -9e-10, 2e-9], size=(400, cells.shape[1]),
+                       p=[0.7, 0.1, 0.1, 0.1])
+    w = cells[rng.integers(0, len(cells), 400)] + noise
+    hit = np.all(noise != 2e-9, axis=1)
+    assert 0 < hit.sum() < len(w)
+    np.testing.assert_array_equal(spec._cell_index(w[hit]), _cell_index_by_row(spec, w[hit]))
+    for find in (spec._cell_index, lambda w: _cell_index_by_row(spec, w)):
+        with pytest.raises(ValueError, match="does not match any dgp cell"):
+            find(w)
 
 
 # --- sampling ------------------------------------------------------------------
