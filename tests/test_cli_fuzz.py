@@ -2,8 +2,9 @@
 
 Each case is a random CSV of 3-80 rows run through `cli.main`. A run must
 end in a documented exit code (0 success, 1 validation error, 2
-numerical failure) without an uncaught exception, and an `evaluate` that
-exits 0 must report a finite psi and se in every grid row.
+numerical failure) without an uncaught exception, no GLM fit may see an
+empty training split, and an `evaluate` that exits 0 must report a
+finite psi and se in every grid row.
 """
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rcpolicy import glm
 from rcpolicy.cli import main
 
 _COVARIATES = {
@@ -81,9 +83,21 @@ def test_cli_exits_with_a_documented_code_on_degenerate_data(case, tmp_path, mon
     csv, out = tmp_path / "fuzz.csv", tmp_path / "out.json"
     out.unlink(missing_ok=True)
     _write_csv(csv, n, covs, treatment, outcome, seed)
-    code = main([command, "--data", str(csv), "--out", str(out), *_COMMANDS[command],
-                 *_OUTCOMES[outcome][1], *model])
+    rows = []  # the row count of every design a GLM fit sees
+
+    def counted(fit):
+        def wrapper(X, *args, **kwargs):
+            rows.append(len(X))
+            return fit(X, *args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ("fit", "fit_logistic"):
+            m.setattr(glm, name, counted(getattr(glm, name)))
+        code = main([command, "--data", str(csv), "--out", str(out), *_COMMANDS[command],
+                     *_OUTCOMES[outcome][1], *model])
     assert code in (0, 1, 2)
+    assert min(rows, default=1) >= 1, "a fit saw an empty training split"
     if command == "evaluate" and code == 0:
         for row in json.loads(out.read_text())["grid"]:
             assert isinstance(row["psi"], float) and math.isfinite(row["psi"]), row
