@@ -155,7 +155,8 @@ class ContrastResult:
 
 
 def contrast_estimates(a: ValueEstimate, b: ValueEstimate, z: float) -> ContrastResult:
-    """a minus b, with the variance of the differenced influence function.
+    """a minus b, with the variance of the differenced influence function
+    and an interval of z standard errors (`PipelineConfig.z_value`).
 
     Both estimates must come from the same sample (row-aligned influence
     values). Contrasting an estimate with itself gives 0 with CI (0, 0).
