@@ -760,7 +760,7 @@ _REFUSALS = {
     "json_effect_units": ([*_EVAL, "--config", "c.json"], {"c.json": '{"effect_units": "x"}'},
                           "effect_units must be"),
 }
-# JSON values of the wrong type, which ran on or failed without naming the key
+# JSON values of the wrong type; each message names the key
 _WRONG_TYPES = {
     f"json_{key}_{value!r}": (argv + ["--config", "c.json"], {"c.json": json.dumps({key: value})},
                               message)
@@ -829,8 +829,8 @@ def test_config_rejects_g_estimate_false_without_g_known():
 
 @pytest.mark.parametrize("names", [" mean , glm", ["mean", " glm "], ("mean", "glm")])
 def test_config_libraries_load_as_a_tuple_of_names(names):
-    # a string library once stayed a string, and the stack read "glm" as
-    # the learners g, l and m
+    # a string is split on commas, never iterated: "glm" is not the
+    # learners g, l and m
     cfg = PipelineConfig(outcome_library=names, blip_library=names)
     assert cfg.outcome_library == cfg.blip_library == ("mean", "glm")
     assert PipelineConfig.from_dict({"blip_library": names}).blip_library == ("mean", "glm")
